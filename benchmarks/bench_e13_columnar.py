@@ -1,9 +1,9 @@
 """E13 (columnar): pre/post axis-engine scans vs. the interpretive
 fallback on descendant-heavy ``//`` navigation.
 
-Before PR 8, summary-unsafe ``//`` shapes (a descendant step that may
-match its own context, ``//*`` tails) could not be answered by the path
-summary's loose matching and dropped to a per-document
+Before PR 8, ``//`` shapes whose descendant step may match its own
+context (``//*`` tails) could not be answered by strict pattern
+matching and dropped to a per-document
 :class:`~repro.xpath.evaluator.XPathEvaluator` walk.  The columnar
 pre/post encoding answers exactly those shapes from sorted columns with
 descendant-or-self semantics, so the descendant-heavy workload now runs

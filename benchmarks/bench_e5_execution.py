@@ -13,7 +13,7 @@ and both runs return identical results.
 
 from __future__ import annotations
 
-from conftest import MIN_SUMMARY_SPEEDUP, print_section
+from conftest import MIN_SCAN_SPEEDUP, print_section
 
 from repro.advisor.advisor import XmlIndexAdvisor
 from repro.advisor.config import AdvisorParameters
@@ -63,32 +63,34 @@ def test_e5_actual_execution(benchmark, xmark_db, xmark_train):
         assert base_row.result_count == indexed_row.result_count
 
 
-def test_e5_scan_vs_structural_summary(benchmark, xmark_db, xmark_train):
-    """Document scans answered from the structural path summary vs. the
-    legacy per-document XPath interpreter (no indexes in either run)."""
+def test_e5_scan_vs_columnar(benchmark, xmark_db, xmark_train):
+    """Document scans answered from the columnar store vs. the
+    per-document XPath interpreter (no indexes in either run)."""
 
     def _run():
         return measure_scan_modes(xmark_db, xmark_train)
 
     measurements = benchmark.pedantic(_run, rounds=3, iterations=1)
     interpretive = measurements["scan-interpretive"]
-    summary = measurements["scan-summary"]
-    speedup = (interpretive.total_seconds / summary.total_seconds
-               if summary.total_seconds > 0 else float("inf"))
+    columnar = measurements["scan-columnar"]
+    speedup = (interpretive.total_seconds / columnar.total_seconds
+               if columnar.total_seconds > 0 else float("inf"))
     table = render_table(
         ["scan engine", "wall time (ms)", "docs examined"],
         [[interpretive.label, f"{interpretive.total_seconds * 1000:.1f}",
           interpretive.documents_examined],
-         [summary.label, f"{summary.total_seconds * 1000:.1f}",
-          summary.documents_examined]])
+         [columnar.label, f"{columnar.total_seconds * 1000:.1f}",
+          columnar.documents_examined]])
     print_section(
-        "E5b - document scan vs structural path summary",
-        table + f"\n\nstructural-summary scan speedup: {speedup:.2f}x")
+        "E5b - document scan vs columnar scan",
+        table + f"\n\ncolumnar scan speedup: {speedup:.2f}x")
 
     # Identical result counts query by query, and a large speedup: the
-    # summary answers path lookups with dictionary probes instead of
-    # re-walking every node tree once per location step.
-    for interp_row, summary_row in zip(interpretive.per_query, summary.per_query):
-        assert interp_row.result_count == summary_row.result_count
-    assert interpretive.documents_examined == summary.documents_examined
-    assert speedup >= MIN_SUMMARY_SPEEDUP
+    # columnar store answers path lookups and value predicates with
+    # postings bisects instead of re-walking every node tree once per
+    # location step.
+    for interp_row, columnar_row in zip(interpretive.per_query,
+                                        columnar.per_query):
+        assert interp_row.result_count == columnar_row.result_count
+    assert interpretive.documents_examined == columnar.documents_examined
+    assert speedup >= MIN_SCAN_SPEEDUP

@@ -4,7 +4,7 @@ document add.
 The paper's advisor targets evolving databases; this experiment
 measures what PR 3's maintenance layer buys when documents arrive: the
 wall-clock to keep a loaded XMark collection's derived state current
-(path summary + statistics synopsis + one configured physical index)
+(columnar store + statistics synopsis + one configured physical index)
 through per-document deltas versus the legacy full rebuild, and asserts
 that the two paths end in byte-identical state.
 
@@ -45,7 +45,7 @@ def test_e6_incremental_maintenance_speedup(benchmark):
         f"(XMark scale {XMARK_SCALE})", table)
 
     assert comparison.identical, (
-        "delta-maintained summary/statistics/index diverged from rebuild")
+        "delta-maintained columnar/statistics/index diverged from rebuild")
     assert comparison.ratio >= MIN_MAINT_RATIO, (
         f"incremental maintenance speedup regressed: {comparison.ratio:.2f}x "
         f"< {MIN_MAINT_RATIO:.1f}x at scale {XMARK_SCALE}")

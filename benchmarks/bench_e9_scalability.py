@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import BENCH_SMOKE, MIN_SUMMARY_SPEEDUP, print_section
+from conftest import BENCH_SMOKE, MIN_SCAN_SPEEDUP, print_section
 
 from repro.advisor.advisor import XmlIndexAdvisor
 from repro.advisor.config import AdvisorParameters
@@ -89,12 +89,12 @@ def test_e9_database_scale_scaling(benchmark, xmark_train):
     assert rows[-1]["improvement_pct"] >= rows[0]["improvement_pct"] - 5.0
 
 
-def test_e9_summary_speedup_scaling(benchmark, xmark_train):
-    """Structural-summary scan speedup as the database scale grows.
+def test_e9_columnar_speedup_scaling(benchmark, xmark_train):
+    """Columnar scan speedup as the database scale grows.
 
     The interpretive scan re-walks every node tree once per location
-    step, so its cost grows with total nodes; the summary answers the
-    same lookups from per-path dictionaries.  Expected shape: the
+    step, so its cost grows with total nodes; the columnar store answers
+    the same lookups from per-path postings.  Expected shape: the
     speedup holds (or grows) as the database gets bigger.
     """
     databases = {scale: generate_xmark_database(XMarkConfig(scale=scale, seed=42))
@@ -105,26 +105,26 @@ def test_e9_summary_speedup_scaling(benchmark, xmark_train):
         for scale, database in databases.items():
             measurements = measure_scan_modes(database, xmark_train)
             interpretive = measurements["scan-interpretive"]
-            summary = measurements["scan-summary"]
+            columnar = measurements["scan-columnar"]
             rows.append({
                 "scale": scale,
                 "documents": database.statistics.document_count,
                 "interpretive_ms": interpretive.total_seconds * 1000,
-                "summary_ms": summary.total_seconds * 1000,
-                "speedup": (interpretive.total_seconds / summary.total_seconds
-                            if summary.total_seconds > 0 else float("inf")),
+                "columnar_ms": columnar.total_seconds * 1000,
+                "speedup": (interpretive.total_seconds / columnar.total_seconds
+                            if columnar.total_seconds > 0 else float("inf")),
                 "equal": all(a.result_count == b.result_count
                              for a, b in zip(interpretive.per_query,
-                                             summary.per_query)),
+                                             columnar.per_query)),
             })
         return rows
 
     rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     table = render_table(
-        ["scale", "documents", "interpretive (ms)", "summary (ms)", "speedup"],
+        ["scale", "documents", "interpretive (ms)", "columnar (ms)", "speedup"],
         [[f"{r['scale']:.2f}", r["documents"], f"{r['interpretive_ms']:.1f}",
-          f"{r['summary_ms']:.1f}", f"{r['speedup']:.2f}x"] for r in rows])
-    print_section("E9c - structural-summary scan speedup vs. database scale", table)
+          f"{r['columnar_ms']:.1f}", f"{r['speedup']:.2f}x"] for r in rows])
+    print_section("E9c - columnar scan speedup vs. database scale", table)
     assert all(r["equal"] for r in rows)
-    # At the largest scale the structural summary must be a clear win.
-    assert rows[-1]["speedup"] >= MIN_SUMMARY_SPEEDUP
+    # At the largest scale the columnar scan must be a clear win.
+    assert rows[-1]["speedup"] >= MIN_SCAN_SPEEDUP

@@ -4,17 +4,16 @@ Execution follows the optimizer's plan choice:
 
 * **Document scan plans** check the query's predicates and extraction
   paths against every document *of the plan's routing set* -- the
-  collections whose path summary/synopsis can match the query's
-  patterns (structural routing; a query rooted in one collection no
-  longer walks the others, and ``use_collection_routing=False``
-  restores the walk-everything behaviour).  The per-document node sets
-  come from the collection's columnar pre/post store
+  collections whose path synopsis can match the query's patterns
+  (structural routing; a query rooted in one collection no longer walks
+  the others, and ``use_collection_routing=False`` restores the
+  walk-everything behaviour).  The per-document node sets come from the
+  collection's columnar pre/post store
   (:class:`~repro.storage.columnar.ColumnarStore` -- every linear
-  spine, with exact descendant-or-self ``//`` semantics) or its
-  structural :class:`~repro.storage.path_summary.PathSummary`
-  (dictionary lookups) whenever the path shape allows it; the
+  spine, with exact descendant-or-self ``//`` semantics); the
   interpretive XPath evaluator handles the residue (see
-  :mod:`repro.xpath.compiler`).
+  :mod:`repro.xpath.compiler`) and, with ``use_columnar=False``, every
+  path -- the one interpretive reference path.
 * **Index plans** probe the physical indexes chosen by the optimizer to
   obtain candidate document ids, intersect them across predicates
   (index ANDing), and then evaluate the full query only on the
@@ -38,8 +37,8 @@ falls back to the full rebuild.
 
 Extraction: ``execute(query, extract=True)`` additionally returns the
 nodes selected by the query's extraction paths in document order --
-``(collection, document, node id)`` -- served by the summary's ordered
-multi-path merges (``CompiledXPath.select_nodes(ordered=True)``).
+``(collection, document, node id)`` -- served by the columnar store's
+ordered postings merges (``CompiledXPath.select_nodes(ordered=True)``).
 
 Vectorized predicates: with ``use_vectorized_predicates`` (the
 default), scan plans never touch ``XmlNode`` objects at all.  Each
@@ -80,7 +79,6 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.plans import IndexScan, QueryPlan
 from repro.storage.columnar import ColumnarStore
 from repro.storage.document_store import XmlDatabase
-from repro.storage.path_summary import PathSummary
 from repro.telemetry import (
     CostAccounting,
     MetricsRegistry,
@@ -91,7 +89,7 @@ from repro.telemetry import (
     wall_clock,
 )
 from repro.xmldb.nodes import DocumentNode, XmlNode, normalized_node_value
-from repro.xpath.compiler import compile_pattern
+from repro.xpath.compiler import CompiledXPath, compile_pattern
 from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.ast import BinaryOp
 from repro.xpath.patterns import PathPattern
@@ -101,14 +99,11 @@ from repro.xquery.normalizer import normalize_statement
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.tuning.monitor import WorkloadMonitor
 
-escape_hatch("use_path_summary",
-             "legacy per-document interpretive scans instead of the "
-             "structural path-summary engine")
 escape_hatch("use_collection_routing",
              "walk every collection instead of pruning by the plan's "
              "structural routing set")
 escape_hatch("use_columnar",
-             "answer path spines from the object-tree summary/interpreter "
+             "answer every path with the per-document interpreter "
              "instead of the columnar pre/post axis engine")
 escape_hatch("use_vectorized_predicates",
              "evaluate value predicates per document over materialized "
@@ -200,9 +195,6 @@ class _IndexProbeError(Exception):
     "_collection_rank": {"policy": "push",
                          "readers": ("_execute_index_plan",),
                          "refreshers": ("_refresh_document_lookup",)},
-    "_summaries": {"policy": "push",
-                   "readers": ("_summary_for",),
-                   "refreshers": ("_on_collection_change",)},
     "_columnars": {"policy": "push",
                    "readers": ("_columnar_for",),
                    "refreshers": ("_on_collection_change",)},
@@ -210,22 +202,17 @@ class _IndexProbeError(Exception):
 class QueryExecutor:
     """Executes normalized queries against a database's documents.
 
-    ``use_path_summary`` selects the scan engine: ``True`` (default)
-    answers path lookups from each collection's structural
-    :class:`~repro.storage.path_summary.PathSummary`; ``False`` forces
-    the legacy per-document interpretive evaluation (kept for
-    benchmarking and equivalence testing).  ``use_columnar`` layers the
-    columnar pre/post axis engine on top: linear spines -- including
-    the summary-unsafe ``//`` shapes the summary cannot answer -- are
-    served from each collection's
-    :class:`~repro.storage.columnar.ColumnarStore` instead of the
-    summary or the interpreter.  Defaults to the ``REPRO_USE_COLUMNAR``
-    environment switch (on unless set to ``"0"``).
+    ``use_columnar`` selects the scan engine: ``True`` serves linear
+    path spines from each collection's
+    :class:`~repro.storage.columnar.ColumnarStore`; ``False`` forces the
+    per-document interpretive evaluation, the one interpretive reference
+    path (kept for benchmarking and equivalence testing).  Defaults to
+    the ``REPRO_USE_COLUMNAR`` environment switch (on unless set to
+    ``"0"``).
     """
 
     def __init__(self, database: XmlDatabase,
                  optimizer: Optional[Optimizer] = None,
-                 use_path_summary: bool = True,
                  use_incremental_maintenance: bool = True,
                  use_collection_routing: bool = True,
                  use_columnar: Optional[bool] = None,
@@ -239,7 +226,6 @@ class QueryExecutor:
         #: query (and its measured work) is recorded into the monitor's
         #: decayed frequency store (see :mod:`repro.tuning.monitor`).
         self.monitor = monitor
-        self.use_path_summary = use_path_summary
         #: Maintain materialized indexes from the collections' delta
         #: journals on data change; ``False`` restores the legacy
         #: rebuild-every-index behaviour for equivalence testing.
@@ -254,9 +240,7 @@ class QueryExecutor:
         self.use_collection_routing = use_collection_routing
         #: Columnar pre/post engine: serve linear path spines from each
         #: collection's ColumnarStore (exact descendant-or-self ``//``
-        #: semantics) instead of the summary/interpreter.  Only active
-        #: together with ``use_path_summary`` so the legacy interpretive
-        #: mode stays purely interpretive for equivalence benchmarks.
+        #: semantics) instead of the interpreter.
         if use_columnar is None:
             use_columnar = os.environ.get("REPRO_USE_COLUMNAR", "1") != "0"
         self.use_columnar = use_columnar
@@ -265,7 +249,7 @@ class QueryExecutor:
         #: intersect the resulting document sets, instead of materializing
         #: XmlNode objects per document and comparing one at a time.
         #: Rides on top of the columnar engine, so it only activates where
-        #: ``_columnar_for`` yields a store (hatches on, no fault
+        #: ``_columnar_for`` yields a store (columnar on, no fault
         #: degradation).  Defaults to the ``REPRO_USE_VECTORIZED``
         #: environment switch (on unless set to ``"0"``).
         if use_vectorized_predicates is None:
@@ -277,12 +261,11 @@ class QueryExecutor:
         self._doc_lookup: Dict[Tuple[str, int], DocumentNode] = {}
         self._lookup_signature: Optional[Tuple[Tuple[str, int], ...]] = None
         #: Memoized per-collection state: the collection insertion-order
-        #: rank (for ordered extraction) and the current path summaries.
-        #: Both are invalidated by the collections' own version
+        #: rank (for ordered extraction) and the current columnar
+        #: stores.  Both are invalidated by the collections' own version
         #: listeners instead of being re-derived on every plan
         #: execution.
         self._collection_rank: Dict[str, int] = {}
-        self._summaries: Dict[str, PathSummary] = {}
         self._columnars: Dict[str, ColumnarStore] = {}
         self._subscribed: set = set()
         #: Instance-scoped metrics registry (the telemetry plane).  The
@@ -386,9 +369,8 @@ class QueryExecutor:
     @property
     def interpretive_spine_fallbacks(self) -> int:
         """Path spines answered by the interpretive evaluator because
-        neither the columnar store nor the summary could back them
-        (the E13 benchmark asserts this stays zero on the columnar
-        path)."""
+        no columnar store could back them (the E13 benchmark asserts
+        this stays zero on the columnar path)."""
         return self._m_interpretive_spine_fallbacks.value
 
     @interpretive_spine_fallbacks.setter
@@ -430,8 +412,7 @@ class QueryExecutor:
             if structure is None:
                 # Build before touching the catalog: a failed build must
                 # never strand a definition without a structure.
-                structure = build_physical_index(physical, self.database,
-                                                 use_columnar=self.use_columnar)
+                structure = build_physical_index(physical, self.database)
                 built.append(physical.name)
             self.install_index(physical, structure)
         return built
@@ -444,8 +425,7 @@ class QueryExecutor:
         """
         if self.database.data_signature() != self._lookup_signature:
             self._maintain_derived_state()
-        return build_physical_index(definition.as_physical(), self.database,
-                                    use_columnar=self.use_columnar)
+        return build_physical_index(definition.as_physical(), self.database)
 
     def install_index(self, definition: IndexDefinition,
                       structure: PhysicalPathIndex) -> None:
@@ -539,8 +519,7 @@ class QueryExecutor:
         signature = self.database.data_signature()
         for key, physical in list(self._indexes.items()):
             try:
-                rebuilt = build_physical_index(physical.definition, self.database,
-                                               use_columnar=self.use_columnar)
+                rebuilt = build_physical_index(physical.definition, self.database)
             except Exception as exc:  # noqa: BLE001 -- containment: degrade
                 self._degrade_index(physical.definition.name,
                                     f"rebuild failed: {exc}")
@@ -606,8 +585,7 @@ class QueryExecutor:
                     "rebuilding")
                 try:
                     self._indexes[key] = build_physical_index(
-                        index.definition, self.database,
-                        use_columnar=self.use_columnar)
+                        index.definition, self.database)
                 except Exception as rebuild_exc:  # noqa: BLE001
                     self._degrade_index(
                         name, "rebuild after failed delta maintenance "
@@ -766,9 +744,11 @@ class QueryExecutor:
                           index_entries_scanned=result.index_entries_scanned,
                           used_index_plan=result.used_index_plan)
             result.trace = root
-            if plan is not None:
-                # Planner-fallback scans have no prediction to pair with,
-                # so only planned executions feed the accounting stream.
+            if plan is not None and plan.uses_indexes == result.used_index_plan:
+                # Only executions of the chosen plan feed the stream:
+                # fallback scans (planner failure, or an index plan whose
+                # structures this executor never materialized) have no
+                # prediction of their own to pair with.
                 self.cost_accounting.record(
                     query_id=query.query_id,
                     plan_shape=_plan_shape(plan),
@@ -828,7 +808,6 @@ class QueryExecutor:
                 "scan", vectorized=self.use_vectorized_predicates)
             scan_start = wall_clock()
         for collection in collections:
-            summary = self._summary_for(collection.name)
             columnar = self._columnar_for(collection.name)
             if columnar is not None and self.use_vectorized_predicates:
                 # Set-at-a-time: one document set per predicate (two
@@ -852,18 +831,18 @@ class QueryExecutor:
                             (collection.name, doc_key))
                         if document is not None:
                             extracted.extend(self._extract_nodes(
-                                document, query, summary, columnar))
+                                document, query, columnar))
                 continue
             for document in collection:
                 examined += 1
-                if self._document_matches(document, query, summary, columnar):
+                if self._document_matches(document, query, columnar):
                     matching_docs += 1
                     if extracted is not None:
                         extracted.extend(self._extract_nodes(
-                            document, query, summary, columnar))
+                            document, query, columnar))
                     if values is not None:
                         values.extend(self._extract_values(
-                            document, query, summary, columnar))
+                            document, query, columnar))
         if scan_span is not None:
             scan_span.elapsed_seconds = wall_clock() - scan_start
             scan_span.annotate(documents_examined=examined,
@@ -986,7 +965,6 @@ class QueryExecutor:
             document = self._doc_lookup.get(key)
             if document is None:
                 continue
-            summary = self._summary_for(key[0])
             columnar = self._columnar_for(key[0])
             examined += 1
             if columnar is not None and self.use_vectorized_predicates:
@@ -997,13 +975,12 @@ class QueryExecutor:
                     vectorized_keys[key[0]] = matched_keys
                 matched = key[1] in matched_keys
             else:
-                matched = self._document_matches(document, query, summary,
-                                                 columnar)
+                matched = self._document_matches(document, query, columnar)
             if matched:
                 matching += 1
                 if extracted is not None:
                     extracted.extend(self._extract_nodes(
-                        document, query, summary, columnar))
+                        document, query, columnar))
                 if values is not None:
                     if columnar is not None and self.use_vectorized_predicates:
                         for pattern in query.extraction_paths:
@@ -1011,7 +988,7 @@ class QueryExecutor:
                                 pattern, key[1], ordered=True))
                     else:
                         values.extend(self._extract_values(
-                            document, query, summary, columnar))
+                            document, query, columnar))
         if residual_span is not None:
             residual_span.elapsed_seconds = wall_clock() - residual_start
             residual_span.annotate(documents_examined=examined,
@@ -1056,28 +1033,21 @@ class QueryExecutor:
     # Residual evaluation
     # ------------------------------------------------------------------
     def _document_matches(self, document: DocumentNode, query: NormalizedQuery,
-                          summary: Optional[PathSummary] = None,
                           columnar: Optional[ColumnarStore] = None) -> bool:
         evaluator: Optional[XPathEvaluator] = None
 
         def nodes_for(pattern: PathPattern) -> List[XmlNode]:
             # Compiled patterns answer from the columnar store (every
-            # linear spine, including summary-unsafe ``//`` shapes) or
-            # the summary; without either (legacy mode, non-linear
-            # expressions) the compiled form delegates to the
-            # interpretive evaluator, which is created once per
-            # document and reused.
+            # linear spine, including ``//`` shapes); without one
+            # (interpretive mode, fault degradation) the compiled form
+            # delegates to the interpretive evaluator, which is created
+            # once per document and reused.
             nonlocal evaluator
-            compiled = compile_pattern(pattern)
-            backed = ((columnar is not None and compiled.is_columnar_backed)
-                      or (summary is not None and compiled.is_summary_backed))
-            if not backed:
-                self._m_interpretive_spine_fallbacks.inc()
-                if evaluator is None:
-                    evaluator = XPathEvaluator(document)
+            compiled = self._compiled(pattern, columnar)
+            if columnar is None and evaluator is None:
+                evaluator = XPathEvaluator(document)
             self._m_scan_node_materializations.inc()
-            return compiled.select_nodes(summary, document, evaluator,
-                                         columnar=columnar)
+            return compiled.select_nodes(columnar, document, evaluator)
 
         for predicate in query.predicates:
             if not self._predicate_holds(nodes_for(predicate.pattern), predicate):
@@ -1088,53 +1058,47 @@ class QueryExecutor:
             # columnar-backed spines answer from the postings early-exit
             # instead of materializing the node list.
             for pattern in query.extraction_paths:
-                compiled = compile_pattern(pattern)
-                backed = ((columnar is not None
-                           and compiled.is_columnar_backed)
-                          or (summary is not None
-                              and compiled.is_summary_backed))
-                if not backed:
-                    self._m_interpretive_spine_fallbacks.inc()
-                    if evaluator is None:
-                        evaluator = XPathEvaluator(document)
-                if compiled.has_match(summary, document, evaluator,
-                                      columnar=columnar):
+                compiled = self._compiled(pattern, columnar)
+                if columnar is None and evaluator is None:
+                    evaluator = XPathEvaluator(document)
+                if compiled.has_match(columnar, document, evaluator):
                     return True
             return False
         return True
 
+    def _compiled(self, pattern: PathPattern,
+                  columnar: Optional[ColumnarStore]) -> CompiledXPath:
+        """``pattern`` compiled, counting the spine as an interpretive
+        fallback when no columnar store can answer it."""
+        if columnar is None:
+            self._m_interpretive_spine_fallbacks.inc()
+        return compile_pattern(pattern)
+
     def _extract_nodes(self, document: DocumentNode, query: NormalizedQuery,
-                       summary: Optional[PathSummary],
                        columnar: Optional[ColumnarStore] = None
                        ) -> List[XmlNode]:
         """The nodes the query's extraction paths select in ``document``,
         per path in document order.
 
-        Ordered extraction is what the summary's node-id merges (and the
-        columnar store's postings merges) exist for: a multi-path
-        pattern (``/site/regions/*/item/name``) comes back as one
-        document-ordered stream instead of grouped by distinct path
+        A multi-path pattern (``/site/regions/*/item/name``) comes back
+        from the columnar store's postings merge as one document-ordered
+        stream instead of grouped by distinct path
         (``CompiledXPath.select_nodes(ordered=True)``).  The
-        interpretive fallback already yields step-expansion order, which
+        interpretive path already yields step-expansion order, which
         is document order for these linear paths.
         """
         evaluator: Optional[XPathEvaluator] = None
         nodes: List[XmlNode] = []
         for pattern in query.extraction_paths:
-            compiled = compile_pattern(pattern)
-            backed = ((columnar is not None and compiled.is_columnar_backed)
-                      or (summary is not None and compiled.is_summary_backed))
-            if not backed:
-                self._m_interpretive_spine_fallbacks.inc()
-                if evaluator is None:
-                    evaluator = XPathEvaluator(document)
+            compiled = self._compiled(pattern, columnar)
+            if columnar is None and evaluator is None:
+                evaluator = XPathEvaluator(document)
             self._m_scan_node_materializations.inc()
-            nodes.extend(compiled.select_nodes(summary, document, evaluator,
-                                               ordered=True, columnar=columnar))
+            nodes.extend(compiled.select_nodes(columnar, document, evaluator,
+                                               ordered=True))
         return nodes
 
     def _extract_values(self, document: DocumentNode, query: NormalizedQuery,
-                        summary: Optional[PathSummary],
                         columnar: Optional[ColumnarStore] = None
                         ) -> List[str]:
         """Normalized values of the extraction-path nodes -- the legacy
@@ -1142,7 +1106,7 @@ class QueryExecutor:
         byte-identical by construction, since the column stores exactly
         ``normalized_node_value`` per node."""
         return [normalized_node_value(node) for node in
-                self._extract_nodes(document, query, summary, columnar)]
+                self._extract_nodes(document, query, columnar)]
 
     @staticmethod
     def _predicate_holds(nodes: List[XmlNode],
@@ -1161,8 +1125,8 @@ class QueryExecutor:
             self._collection_rank[collection.name] = position
             if collection.name not in self._subscribed:
                 # Per-collection version listener: drop the memoized
-                # summary the moment the collection's data changes, so
-                # `_summary_for` can hold snapshots across executions
+                # store the moment the collection's data changes, so
+                # `_columnar_for` can hold snapshots across executions
                 # without ever serving a stale one.  Subscribed weakly:
                 # executors are often shorter-lived than the database,
                 # and must not be pinned by the listener list.
@@ -1173,40 +1137,13 @@ class QueryExecutor:
         self._lookup_signature = self.database.data_signature()
 
     def _on_collection_change(self, collection) -> None:
-        self._summaries.pop(collection.name, None)
         self._columnars.pop(collection.name, None)
-
-    def _summary_for(self, collection_name: str) -> Optional[PathSummary]:
-        """The collection's current path summary (memoized behind the
-        per-collection version listeners), or ``None`` in legacy
-        interpretive-scan mode."""
-        if not self.use_path_summary:
-            return None
-        summary = self._summaries.get(collection_name)
-        if summary is None:
-            try:
-                summary = self.database.collection(collection_name).path_summary
-            except FaultError as exc:
-                # Degraded mode: when the summary cannot be (re)built,
-                # fall back to interpretive per-document evaluation --
-                # provably the same results, without the summary.
-                self._note_fallback(
-                    f"path summary for {collection_name!r} unavailable "
-                    f"({exc}); interpretive evaluation")
-                return None
-            self._summaries[collection_name] = summary
-        return summary
 
     def _columnar_for(self, collection_name: str) -> Optional[ColumnarStore]:
         """The collection's current columnar store (memoized behind the
         per-collection version listeners), or ``None`` when the columnar
-        engine is off or the store cannot be (re)built.
-
-        Gated on *both* hatches: legacy interpretive mode
-        (``use_path_summary=False``) must stay purely interpretive, so
-        the columnar engine only activates alongside the summary engine.
-        """
-        if not (self.use_path_summary and self.use_columnar):
+        engine is off or the store cannot be (re)built."""
+        if not self.use_columnar:
             return None
         columnar = self._columnars.get(collection_name)
         if columnar is None:
@@ -1214,11 +1151,11 @@ class QueryExecutor:
                 columnar = self.database.collection(collection_name).columnar_store
             except FaultError as exc:
                 # Degraded mode: when the columnar snapshot cannot be
-                # (re)built, fall back to the summary/interpreter --
-                # provably the same results, without the axis engine.
+                # (re)built, fall back to the interpreter -- provably
+                # the same results, without the axis engine.
                 self._note_fallback(
                     f"columnar store for {collection_name!r} unavailable "
-                    f"({exc}); summary/interpretive evaluation")
+                    f"({exc}); interpretive evaluation")
                 return None
             self._columnars[collection_name] = columnar
         return columnar

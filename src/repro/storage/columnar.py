@@ -32,8 +32,7 @@ instead: for a linear pattern, a node's membership in the interpreter's
 result depends only on its simple path, so the store matches the
 pattern against the path table with
 :meth:`~repro.xpath.patterns.PathPattern.matches_evaluator` (exact
-``//`` descendant-or-self semantics -- no ``pattern_summary_safe``
-widening) and unions pre-sorted postings.
+``//`` descendant-or-self semantics) and unions pre-sorted postings.
 
 On top of the values column sits the *set-at-a-time predicate engine*:
 per path, a lazy snapshot-memoized value projection (the postings
@@ -45,8 +44,11 @@ predicate instead of materializing ``XmlNode`` lists per document.
 Value extraction for value-only consumers reads the flat values column
 in document order (:meth:`ColumnarStore.values_for_pattern`).
 
-Maintenance mirrors :class:`~repro.storage.path_summary.PathSummary`:
-the store is immutable once built and is replaced through
+The store is also the collection's one path synopsis source: the
+statistics accumulator reads every path's document count and nodes
+through :meth:`ColumnarStore.iter_path_nodes`.
+
+Maintenance: the store is immutable once built and is replaced through
 :meth:`apply_delta` under the existing
 :class:`~repro.storage.maintenance.CollectionDelta` machinery -- an
 insert renumbers one document's slab and splices it in, a delete is one
@@ -95,8 +97,7 @@ KIND_ATTRIBUTE = 1
 #: Together with the synopsis's per-path ``total_value_bytes`` and
 #: ``numeric_count`` this makes the store's :attr:`ColumnarStore.nbytes`
 #: derivable from statistics alone (see
-#: ``DatabaseStatistics.columnar_bytes``), identically in both
-#: ``use_columnar`` modes.
+#: ``DatabaseStatistics.columnar_bytes``).
 COLUMNAR_NODE_BYTES = 5 * array("q").itemsize + array("b").itemsize \
     + 2 * array("q").itemsize
 
@@ -349,10 +350,10 @@ class ColumnarStore:
     def apply_delta(self, delta: "CollectionDelta") -> "ColumnarStore":
         """A new store with ``delta`` applied (this one is unchanged).
 
-        Same contract as ``PhysicalPathIndex.apply_collection_delta``
-        and :meth:`PathSummary.apply_delta`: the result is byte-identical
-        to rebuilding from the post-change documents, and untouched
-        postings arrays are structurally shared with the predecessor.
+        Same contract as ``PhysicalPathIndex.apply_collection_delta``:
+        the result is byte-identical to rebuilding from the post-change
+        documents, and untouched postings arrays are structurally shared
+        with the predecessor.
         """
         if delta.is_add:
             return self._with_document_added(delta.document)
@@ -570,11 +571,6 @@ class ColumnarStore:
             memo[pattern] = ids
         return ids
 
-    def paths_matching(self, pattern: PathPattern) -> Tuple[str, ...]:
-        """Distinct paths matched under evaluator semantics (memoized)."""
-        return tuple(self._paths[pid]
-                     for pid in self._paths_for(pattern, strict=False))
-
     def _doc_slice(self, doc_id: Optional[int]) -> Optional[Tuple[int, int]]:
         if doc_id is None:
             return (0, len(self.pre))
@@ -635,6 +631,17 @@ class ColumnarStore:
             return False
         lo, hi = bounds
         return any(len(self._positions_in(pid, lo, hi)) for pid in ids)
+
+    def iter_path_nodes(self) -> Iterator[Tuple[str, int, List[XmlNode]]]:
+        """Yield ``(path, document count, nodes in postings order)`` for
+        every distinct path that currently has nodes -- the per-path
+        groups the statistics synopsis is built from."""
+        nodes = self._nodes
+        for pid, path in enumerate(self._paths):
+            arr = self._postings[pid]
+            if arr:
+                yield (path, sum(1 for _ in self._documents_of(arr)),
+                       [nodes[p] for p in arr])
 
     def iter_strict_pattern_nodes(self, pattern: PathPattern
                                   ) -> Iterator[Tuple[int, XmlNode]]:
@@ -766,17 +773,22 @@ class ColumnarStore:
         postings), not O(postings).
         """
         docs: Set[int] = set()
+        for pid in self._paths_for(pattern, strict=False):
+            docs.update(self._documents_of(self._postings[pid]))
+        return docs
+
+    def _documents_of(self, arr: array) -> Iterator[int]:
+        """Ascending doc keys holding at least one of the positions in
+        ``arr`` (one path's postings): after the first hit in a document
+        the walk bisects straight past the rest of its slab."""
         starts = self._doc_start_index()
         bounds = self._doc_bounds
-        for pid in self._paths_for(pattern, strict=False):
-            arr = self._postings[pid]
-            index = 0
-            total = len(arr)
-            while index < total:
-                doc = bisect_right(starts, arr[index]) - 1
-                docs.add(doc)
-                index = bisect_left(arr, bounds[doc][1], index + 1)
-        return docs
+        index = 0
+        total = len(arr)
+        while index < total:
+            doc = bisect_right(starts, arr[index]) - 1
+            yield doc
+            index = bisect_left(arr, bounds[doc][1], index + 1)
 
     def values_for_pattern(self, pattern: PathPattern,
                            doc_id: Optional[int] = None,

@@ -10,7 +10,7 @@ Data change is propagated as a *delta* by default
 (``use_incremental_maintenance=True``): every document add/remove
 captures the document's per-path node groups once
 (:func:`~repro.storage.maintenance.compute_document_delta`), folds them
-into the cached path summary and statistics accumulator in O(document
+into the cached columnar store and statistics accumulator in O(document
 nodes) instead of dropping them for an O(collection nodes) rebuild, and
 journals the delta so detached consumers (the executor's materialized
 indexes) can catch up.  ``use_incremental_maintenance=False`` restores
@@ -43,12 +43,7 @@ from repro.storage.maintenance import (
     compute_document_delta,
 )
 from repro.storage.columnar import ColumnarStore, build_columnar_store
-from repro.storage.path_summary import PathSummary, build_path_summary
-from repro.storage.statistics import (
-    DatabaseStatistics,
-    StatisticsAccumulator,
-    collect_statistics_from_summary,
-)
+from repro.storage.statistics import DatabaseStatistics, StatisticsAccumulator
 from repro.xmldb.nodes import DocumentNode
 from repro.xmldb.parser import parse_document
 
@@ -63,8 +58,6 @@ escape_hatch("use_incremental_maintenance")
 
 
 @cache_contract(memos={
-    "_summary": {"policy": "push", "readers": ("path_summary",),
-                 "refreshers": ("_apply_delta", "_invalidate_derived")},
     "_statistics": {"policy": "push", "readers": ("statistics",),
                     "refreshers": ("_apply_delta", "_invalidate_derived")},
     "_accumulator": {"policy": "push", "readers": ("statistics",),
@@ -82,7 +75,7 @@ class XmlCollection:
             raise ValueError(
                 f"delta_log_capacity must be positive, got {delta_log_capacity}")
         self.name = name
-        #: Maintain the path summary and statistics through per-document
+        #: Maintain the columnar store and statistics through per-document
         #: deltas (and journal them for downstream consumers) instead of
         #: dropping and rebuilding them on every add/remove.
         self.use_incremental_maintenance = use_incremental_maintenance
@@ -91,7 +84,6 @@ class XmlCollection:
         self.delta_log_capacity = delta_log_capacity
         self._documents: List[DocumentNode] = []
         self._statistics: Optional[DatabaseStatistics] = None
-        self._summary: Optional[PathSummary] = None
         self._accumulator: Optional[StatisticsAccumulator] = None
         self._columnar: Optional[ColumnarStore] = None
         self._delta_log = DeltaLog(capacity=delta_log_capacity)
@@ -147,8 +139,6 @@ class XmlCollection:
 
     def _apply_delta(self, delta: CollectionDelta) -> None:
         """Fold one add/remove into the cached derived state and journal it."""
-        if self._summary is not None:
-            self._summary = self._summary.apply_delta(delta)
         if self._columnar is not None:
             self._columnar = self._columnar.apply_delta(delta)
         if self._accumulator is not None:
@@ -159,7 +149,7 @@ class XmlCollection:
         self._notify_change()
 
     def _invalidate_derived(self) -> None:
-        """Drop the cached statistics and path summary; bump the version.
+        """Drop the cached statistics and columnar store; bump the version.
 
         This is the full-rebuild path: it also breaks the delta journal,
         because in-place edits (or non-incremental mode) cannot be
@@ -167,7 +157,6 @@ class XmlCollection:
         ``None`` and rebuild.
         """
         self._statistics = None
-        self._summary = None
         self._accumulator = None
         self._columnar = None
         self._version += 1
@@ -237,40 +226,20 @@ class XmlCollection:
 
     # ------------------------------------------------------------------
     @property
-    def path_summary(self) -> PathSummary:
-        """The structural path summary (built lazily in one O(nodes) pass).
-
-        With incremental maintenance the cached summary is *replaced* --
-        not rebuilt -- on document add/remove via
-        :meth:`~repro.storage.path_summary.PathSummary.apply_delta`;
-        without it, the summary is dropped and rebuilt here.  Either way
-        consumers must re-fetch per use instead of holding one across
-        updates.
-        """
-        if self._summary is None:
-            summary = build_path_summary(self._documents)
-            # Publication seam: a persistent injected fault raises here,
-            # before the cache assignment, so a failed publish leaves the
-            # memo empty (crash-safe) rather than half-published.
-            guarded_fault_point("snapshot.publish")
-            self._summary = summary
-        return self._summary
-
-    @property
     def columnar_store(self) -> ColumnarStore:
         """The columnar pre/post encoding of this collection (lazy).
 
-        Maintained exactly like :attr:`path_summary`: with incremental
-        maintenance the cached store is *replaced* on document
-        add/remove via
+        With incremental maintenance the cached store is *replaced* --
+        not rebuilt -- on document add/remove via
         :meth:`~repro.storage.columnar.ColumnarStore.apply_delta`;
         without it, it is dropped and rebuilt here.  Consumers must
         re-fetch per use instead of holding one across updates.
         """
         if self._columnar is None:
             store = build_columnar_store(self._documents)
-            # Publication seam, as for the path summary: a persistent
-            # injected fault raises before the cache assignment.
+            # Publication seam: a persistent injected fault raises here,
+            # before the cache assignment, so a failed publish leaves the
+            # memo empty (crash-safe) rather than half-published.
             guarded_fault_point("snapshot.publish")
             self._columnar = store
         return self._columnar
@@ -279,28 +248,23 @@ class XmlCollection:
     def statistics(self) -> DatabaseStatistics:
         """The path synopsis for this collection (collected lazily, cached).
 
-        Derived from :attr:`path_summary`, so statistics collection and
-        structural lookups share a single traversal of the documents.
-        With incremental maintenance the synopsis is snapshotted from a
-        delta-maintained accumulator (O(distinct paths)) instead of
-        recollected from all nodes.
+        Derived from :attr:`columnar_store`, so statistics collection and
+        structural lookups share one storage structure.  The synopsis is
+        snapshotted from an accumulator (O(distinct paths)); with
+        incremental maintenance the accumulator absorbs every document
+        delta instead of being recollected from all nodes.
         """
         if self._statistics is None:
-            if self.use_incremental_maintenance:
-                if self._accumulator is None:
-                    accumulator = StatisticsAccumulator.from_summary(
-                        self.path_summary)
-                    guarded_fault_point("stats.rebuild")
-                    self._accumulator = accumulator
-                self._statistics = self._accumulator.snapshot()
-            else:
-                statistics = collect_statistics_from_summary(self.path_summary)
+            if self._accumulator is None:
+                accumulator = StatisticsAccumulator.from_columnar(
+                    self.columnar_store)
                 guarded_fault_point("stats.rebuild")
-                self._statistics = statistics
+                self._accumulator = accumulator
+            self._statistics = self._accumulator.snapshot()
         return self._statistics
 
     def invalidate_statistics(self) -> None:
-        """Force statistics and the path summary to be re-collected
+        """Force statistics and the columnar store to be re-collected
         (after bulk in-place document edits)."""
         self._invalidate_derived()
 
@@ -440,7 +404,7 @@ class XmlDatabase:
         return self._merged_statistics
 
     def invalidate_statistics(self) -> None:
-        """Invalidate cached statistics (and path summaries) on the
+        """Invalidate cached statistics (and columnar stores) on the
         database and all collections."""
         self._merged_statistics = None
         self._merged_signature = None

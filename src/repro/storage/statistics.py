@@ -14,18 +14,20 @@ collection's sub-synopsis addressable (:attr:`DatabaseStatistics.collection_stat
 so the collection-scoped cost model can route queries to -- and merge
 statistics over -- exactly the collections their patterns can match
 (:meth:`DatabaseStatistics.merged_over`).  Collection no longer walks the node trees
-itself: it derives the synopsis from the collection's structural
-:class:`~repro.storage.path_summary.PathSummary`, so statistics, index
-builds and scan execution all share one traversal of the data.
+itself: it derives the synopsis from the collection's
+:class:`~repro.storage.columnar.ColumnarStore` (per path: document count
+and nodes in postings order), so statistics, index builds and scan
+execution all share one storage structure.
 
-Incremental maintenance: the traversal feeds a
+Incremental maintenance: the columns feed a
 :class:`StatisticsAccumulator` -- per-path value/numeric multisets plus
 running counters -- which can *also* absorb one document's
 :class:`~repro.storage.maintenance.DocumentDelta` (add or retract) in
 O(document nodes) and emit a fresh :class:`DatabaseStatistics` snapshot
 in O(distinct paths).  The full build and the delta path share the same
-recording code, so an incrementally maintained synopsis is byte-
-identical to a rebuild by construction.  Snapshots stay immutable:
+per-node recording code (``_PathAccumulator.add_node``), so an
+incrementally maintained synopsis is byte-identical to a rebuild by
+construction.  Snapshots stay immutable:
 the accumulator is mutable private state of the collection; every
 ``snapshot()`` call produces a new statistics object.
 """
@@ -40,13 +42,12 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
 
 from repro.contracts import builder, cache_contract, snapshot_contract
-from repro.storage.path_summary import PathSummary, build_path_summary
+from repro.storage.columnar import ColumnarStore, build_columnar_store
 from repro.xmldb.nodes import (
     DocumentNode,
     NodeKind,
@@ -387,27 +388,12 @@ def collect_statistics(documents: Iterable[DocumentNode]) -> DatabaseStatistics:
     element's indexable value, matching how leaf-value indexes behave);
     attribute paths record the attribute value.
 
-    The documents are summarized in one structural pass and the synopsis
-    is derived from the summary (see
-    :func:`collect_statistics_from_summary`).
+    The documents are encoded in one columnar pass and the synopsis is
+    derived from the columns (see
+    :meth:`StatisticsAccumulator.from_columnar`).
     """
-    return collect_statistics_from_summary(
-        build_path_summary(documents, renumber=True))
-
-
-def collect_statistics_from_summary(summary: PathSummary) -> DatabaseStatistics:
-    """Derive the path synopsis from an already-built structural summary.
-
-    This is the shared-traversal entry point: the collection builds its
-    :class:`~repro.storage.path_summary.PathSummary` once, and
-    statistics are computed from the summary's per-path node lists
-    without touching the document trees again (apart from reading each
-    node's direct text value).  The synopsis is produced by a
-    :class:`StatisticsAccumulator`, the same machinery the delta
-    maintenance path uses, so incremental and full collection cannot
-    diverge.
-    """
-    return StatisticsAccumulator.from_summary(summary).snapshot()
+    return StatisticsAccumulator.from_columnar(
+        build_columnar_store(documents)).snapshot()
 
 
 def _node_record_value(node: XmlNode) -> Tuple[str, int]:
@@ -506,7 +492,7 @@ class _PathAccumulator:
 class StatisticsAccumulator:
     """Retractable synopsis state for one collection.
 
-    Built once from a path summary (or empty), then kept current by
+    Built once from a columnar store (or empty), then kept current by
     absorbing :class:`~repro.storage.maintenance.CollectionDelta`
     operations in O(changed-document nodes); :meth:`snapshot` emits an
     immutable :class:`DatabaseStatistics` in O(distinct paths).
@@ -519,16 +505,17 @@ class StatisticsAccumulator:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_summary(cls, summary: PathSummary) -> "StatisticsAccumulator":
+    def from_columnar(cls, store: ColumnarStore) -> "StatisticsAccumulator":
+        """Fold every node of a columnar store, path by path, through the
+        same :meth:`_PathAccumulator.add_node` the delta path calls."""
         accumulator = cls()
-        accumulator.document_count = summary.document_count
+        accumulator.document_count = store.document_count
         paths = accumulator._paths
-        for path in summary.distinct_paths:
+        for path, document_count, nodes in store.iter_path_nodes():
             entry = paths[path] = _PathAccumulator()
-            for _doc_key, nodes in summary.doc_nodes_for_path(path).items():
-                entry.document_count += 1
-                for node in nodes:
-                    accumulator.total_text_bytes += entry.add_node(node)
+            entry.document_count = document_count
+            for node in nodes:
+                accumulator.total_text_bytes += entry.add_node(node)
         return accumulator
 
     # ------------------------------------------------------------------

@@ -52,6 +52,8 @@ from repro.tools.report import (
     recommendation_report,
 )
 from repro.workloads.loader import build_scenario, list_scenarios
+from repro.xpath.errors import XPathError
+from repro.xquery.errors import QueryParseError, WorkloadError
 from repro.xquery.model import Workload
 from repro.xquery.normalizer import normalize_statement, normalize_workload
 from repro.xquery.workload_io import load_workload_file
@@ -69,10 +71,28 @@ def _add_scenario_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario_workload(args: argparse.Namespace, scenario) -> Workload:
-    """The scenario's workload, or the one loaded from --workload-file."""
-    if getattr(args, "workload_file", None):
-        return load_workload_file(args.workload_file)
-    return scenario.workload
+    """The scenario's workload, or the one loaded from --workload-file.
+
+    A workload file that is missing, unreadable, empty or holds a
+    statement that does not parse ends the command with one ``error:``
+    line on stderr and exit status 2 (the argparse convention), not a
+    traceback.
+    """
+    path = getattr(args, "workload_file", None)
+    if not path:
+        return scenario.workload
+    try:
+        workload = load_workload_file(path)
+        normalize_workload(workload)  # surface parse errors up front
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except (UnicodeDecodeError, WorkloadError, QueryParseError,
+            XPathError) as exc:
+        reason = str(exc)
+    else:
+        return workload
+    print(f"error: --workload-file {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _algorithm(value: str) -> SearchAlgorithm:

@@ -8,9 +8,9 @@ measurement protocol cannot silently diverge between the guard, the
 bench and the recorded numbers.
 
 Protocol: an XMark database is generated at ``scale`` and a
-*descendant-heavy* workload of summary-unsafe ``//`` navigation queries
-(every shape where a descendant step may match its own context, so the
-path summary's loose matching cannot answer it exactly) is executed as
+*descendant-heavy* workload of ``//`` navigation queries (shapes where a
+descendant step may match its own context, whose descendant-or-self
+semantics strict pattern matching cannot answer) is executed as
 document scans by two executors sharing the database:
 
 * the **columnar** executor (``use_columnar=True``, the default) lowers
@@ -18,8 +18,8 @@ document scans by two executors sharing the database:
   pre/post axis engine -- exact descendant-or-self semantics straight
   off the sorted columns, zero per-node tree walks;
 * the **interpretive** executor (``use_columnar=False``, the escape
-  hatch) finds no summary backing for the unsafe shapes and falls back
-  to the per-document :class:`~repro.xpath.evaluator.XPathEvaluator`.
+  hatch) evaluates every spine with the per-document
+  :class:`~repro.xpath.evaluator.XPathEvaluator`.
 
 Wall-clock is best-of-``repeats`` per mode; equivalence is byte-exact
 per query (result counts and the sorted extracted node-id streams).
@@ -40,10 +40,10 @@ from repro.workloads.xmark import XMarkConfig, generate_xmark_database
 from repro.xquery.model import NormalizedQuery
 from repro.xquery.normalizer import normalize_statement
 
-#: The descendant-heavy workload: summary-unsafe ``//`` shapes over the
-#: XMark schema (`//x` where an `x` ancestor exists, `//*` tails, and a
-#: double-descendant spine).  None of them is answerable by the path
-#: summary's loose matching, so the escape hatch pays one full
+#: The descendant-heavy workload: ``//`` shapes over the XMark schema
+#: (`//x` where an `x` ancestor exists, `//*` tails, and a
+#: double-descendant spine) whose descendant-or-self semantics strict
+#: pattern matching cannot answer; the escape hatch pays one full
 #: interpreter walk per document per query.
 DESCENDANT_QUERIES: Tuple[str, ...] = (
     "/site//*",
@@ -116,7 +116,7 @@ def compare_columnar_modes(scale: float = 0.25, seed: int = 42,
                              use_vectorized_predicates=False)
     interpretive = QueryExecutor(database, use_columnar=False,
                                  use_vectorized_predicates=False)
-    # Publish the lazy snapshots (summary + columnar store) outside the
+    # Publish the lazy snapshots (columnar store, statistics) outside the
     # timed region: both modes measure steady-state scans, not builds.
     store = collection.columnar_store
     columnar_results = _run_queries(columnar, queries)

@@ -11,18 +11,19 @@ Protocol: two XMark databases with identical documents are loaded --
 one with delta-propagation maintenance
 (``use_incremental_maintenance=True``, the default), one with the
 legacy teardown-and-rebuild escape hatch.  Both prime their derived
-state (path summary, statistics synopsis, one configured physical
+state (columnar store, statistics synopsis, one configured physical
 index), then the same stream of freshly generated documents is added to
 each; after every add the derived state is brought current again:
 
 * **incremental** -- the collection folds the document's delta into the
-  summary and statistics accumulator, and the physical index merges the
-  document's entries from the delta journal;
-* **rebuild** -- the collection rebuilds summary and statistics from
-  all documents and the physical index is rebuilt from scratch,
+  columnar store and statistics accumulator, and the physical index
+  merges the document's entries from the delta journal;
+* **rebuild** -- the collection rebuilds the columnar store and
+  statistics from all documents and the physical index is rebuilt from
+  scratch,
 
 and the wall-clock per mode is compared.  Afterwards the derived state
-of the two modes is checked for byte-identity (canonical summary state,
+of the two modes is checked for byte-identity (canonical columnar state,
 statistics synopsis equality, index entry lists), which is the
 correctness half of the acceptance criterion.
 """
@@ -53,7 +54,7 @@ class MaintenanceComparison:
     documents_added: int
     incremental_seconds: float
     rebuild_seconds: float
-    #: Summary, statistics and index entries byte-identical across modes
+    #: Columnar store, statistics and index entries byte-identical across modes
     #: after the full add stream.
     identical: bool
     index_entries: int
@@ -68,17 +69,17 @@ class MaintenanceComparison:
 def _prime(database: XmlDatabase,
            definition: IndexDefinition) -> PhysicalPathIndex:
     collection = database.collection("xmark")
-    collection.path_summary
+    collection.columnar_store
     collection.statistics
     database.statistics
     return build_physical_index(definition, database)
 
 
 def _touch_derived(database: XmlDatabase) -> None:
-    """Force the per-collection derived state current (summary then
-    statistics -- the same objects both modes maintain)."""
+    """Force the per-collection derived state current (columnar store
+    then statistics -- the same objects both modes maintain)."""
     collection = database.collection("xmark")
-    collection.path_summary
+    collection.columnar_store
     collection.statistics
 
 
@@ -135,8 +136,8 @@ def compare_maintenance_modes(
         rebuild_seconds += wall_clock() - start
 
     identical = (
-        incremental_collection.path_summary.canonical_state()
-        == rebuild_db.collection("xmark").path_summary.canonical_state()
+        incremental_collection.columnar_store.canonical_state()
+        == rebuild_db.collection("xmark").columnar_store.canonical_state()
         and incremental_collection.statistics
         == rebuild_db.collection("xmark").statistics
         and incremental_index.entries == rebuild_index.entries)

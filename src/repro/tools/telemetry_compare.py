@@ -88,7 +88,7 @@ def compare_telemetry_modes(scale: float = 0.25, seed: int = 42,
     # how the environment armed the session.
     untraced = QueryExecutor(database, trace=False)
     traced = QueryExecutor(database, trace=True)
-    # Publish the lazy snapshots (summaries, columnar stores, value
+    # Publish the lazy snapshots (statistics, columnar stores, value
     # projections) outside the timed region: both modes measure
     # steady-state execution, not builds.
     untraced_results = _run_queries(untraced, queries)

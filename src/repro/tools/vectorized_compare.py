@@ -146,7 +146,7 @@ def compare_vectorized_modes(scale: float = 0.25, seed: int = 42,
                                use_vectorized_predicates=True)
     hatch = QueryExecutor(database, use_columnar=True,
                           use_vectorized_predicates=False)
-    # Publish the lazy snapshots (summaries, columnar stores, value
+    # Publish the lazy snapshots (statistics, columnar stores, value
     # projections) outside the timed region: both modes measure
     # steady-state scans, not builds.
     vectorized_results = _run_queries(vectorized, queries)

@@ -10,9 +10,9 @@ Two distinct but related artifacts live here:
   residual predicates and unsupported path shapes.
 
 * :mod:`repro.xpath.compiler` -- lowers predicate-free and
-  simple-predicate location paths onto the structural
-  :class:`~repro.storage.path_summary.PathSummary` so the hot execution
-  paths answer them with dictionary lookups instead of tree walks,
+  simple-predicate location paths onto the collection's
+  :class:`~repro.storage.columnar.ColumnarStore` so the hot execution
+  paths answer them with postings lookups instead of tree walks,
   with LRU caches for parsed and compiled expressions.
 
 * :mod:`repro.xpath.patterns` -- *index patterns*: linear paths such as
@@ -39,7 +39,6 @@ from repro.xpath.compiler import (
     compile_pattern,
     compile_xpath,
     parse_xpath_cached,
-    pattern_summary_safe,
 )
 from repro.xpath.errors import XPathError, XPathParseError, XPathTypeError
 from repro.xpath.evaluator import XPathEvaluator, evaluate_path
@@ -77,5 +76,4 @@ __all__ = [
     "parse_xpath",
     "parse_xpath_cached",
     "pattern_contains",
-    "pattern_summary_safe",
 ]

@@ -165,7 +165,7 @@ class XPathEvaluator:
         Public because the compiled path engine
         (:mod:`repro.xpath.compiler`) delegates residual predicate
         evaluation here after answering the path spine from the
-        structural summary.
+        columnar store.
         """
         for predicate in predicates:
             value = self._evaluate(predicate.expression, node)

@@ -41,9 +41,9 @@ from _support import (
 from repro.advisor.advisor import XmlIndexAdvisor
 from repro.advisor.config import AdvisorParameters
 from repro.executor.executor import QueryExecutor
-from repro.faults import FaultPlan, inject
+from repro.faults import FaultPlan, FaultRule, inject
 from repro.index.definition import IndexDefinition
-from repro.index.physical import build_physical_index
+from repro.index.physical import PhysicalPathIndex, build_physical_index
 from repro.optimizer.optimizer import Optimizer
 from repro.storage.columnar import (
     COLUMNAR_NODE_BYTES,
@@ -51,6 +51,7 @@ from repro.storage.columnar import (
     build_columnar_store,
 )
 from repro.storage.document_store import XmlDatabase
+from repro.storage.maintenance import ADD, CollectionDelta, compute_document_delta
 from repro.workloads.tpox import (
     TpoxConfig,
     generate_tpox_database,
@@ -62,7 +63,7 @@ from repro.workloads.xmark import (
     xmark_query_workload,
 )
 from repro.xmldb.serializer import serialize
-from repro.xpath.compiler import compile_xpath, pattern_summary_safe
+from repro.xpath.compiler import compile_xpath
 from repro.xpath.evaluator import XPathEvaluator
 from repro.xpath.parser import parse_xpath
 from repro.xquery.model import ValueType, Workload
@@ -71,8 +72,8 @@ from repro.xquery.normalizer import normalize_statement, normalize_workload
 TESTS = str(Path(__file__).parent)
 SRC = str(Path(__file__).parent.parent / "src")
 
-#: Linear spines exercised against the store -- summary-safe shapes and
-#: the summary-unsafe ``//`` shapes that used to force the interpreter.
+#: Linear spines exercised against the store -- including ``//`` shapes
+#: whose descendant step may match its own context.
 SPINES = [
     "/site/regions/africa/item",
     "/site/regions/*/item/name",
@@ -93,8 +94,8 @@ UNSAFE_QUERIES = ["/site//*", "/site/regions//*", "/site//item//name",
 
 def _pattern(text: str):
     compiled = compile_xpath(text)
-    assert compiled.columnar_pattern is not None, text
-    return compiled.columnar_pattern
+    assert compiled.pattern is not None, text
+    return compiled.pattern
 
 
 def _coresident_database(xmark_scale: float = 0.03, tpox_scale: float = 0.05,
@@ -277,36 +278,46 @@ class TestExecutorEquivalence:
         assert QueryExecutor(database).use_columnar is True
 
     def test_legacy_interpretive_mode_stays_interpretive(self):
-        # ``use_path_summary=False`` benchmarks the object-tree path;
-        # the columnar engine must not silently activate under it.
+        # ``use_columnar=False`` is the interpretive reference path; the
+        # columnar engine must not silently activate under it.
         database = build_varied_database(documents=4, name="col-legacy")
-        executor = QueryExecutor(database, use_path_summary=False)
+        executor = QueryExecutor(database, use_columnar=False)
         assert executor._columnar_for("site") is None
         result = executor.execute("/site/people/person[name = 'Person 1 0']")
         assert result.result_count == 1
 
-    def test_index_builds_byte_identical(self):
+    def test_index_builds_match_delta_folded_reference(self):
+        """Postings-walk builds equal an independent reference: an empty
+        finalized index fed one add delta per document (the tree-walk
+        delta capture and strict pattern matching, no columnar store)."""
         database = _coresident_database()
         for text, value_type in [("//item/payment", ValueType.VARCHAR),
                                  ("/site/regions/*/item/quantity",
                                   ValueType.DOUBLE),
                                  ("/site/people/person/@id", ValueType.VARCHAR),
-                                 ("/FIXML/Order/@ID", ValueType.VARCHAR)]:
+                                 ("/FIXML/Order/@ID", ValueType.VARCHAR),
+                                 ("//*", ValueType.DOUBLE)]:
             definition = IndexDefinition.create(text, value_type).as_physical()
-            fast = build_physical_index(definition, database, use_columnar=True)
-            slow = build_physical_index(definition, database,
-                                        use_columnar=False)
-            assert fast.scan() == slow.scan(), text
-            assert fast.size_bytes == slow.size_bytes
+            built = build_physical_index(definition, database)
+            reference = PhysicalPathIndex(definition).finalize()
+            for collection in database.collections:
+                for document in collection:
+                    reference.apply_collection_delta(CollectionDelta(
+                        collection=collection.name, kind=ADD,
+                        version=document.doc_id + 1,
+                        document=compute_document_delta(document)))
+            assert built.entry_count > 0, text
+            assert built.scan() == reference.scan(), text
+            assert built.size_bytes == reference.size_bytes
 
     def test_routing_shrinks_for_unsafe_queries(self):
-        # The PR 8 regression: summary-unsafe ``//`` reads used to route
-        # to *all* collections; with exact columnar matching the scan
-        # only visits the matching ones.
+        # The PR 8 regression: ``//`` reads whose descendant step may
+        # match its own context used to route to *all* collections; with
+        # exact descendant-or-self matching the scan only visits the
+        # matching ones.
         database = _coresident_database()
         executor = QueryExecutor(database, use_columnar=True)
         query = normalize_statement("/site//*")
-        assert not pattern_summary_safe(_pattern("/site//*"))
         plan = executor.optimizer.optimize(query, candidate_indexes=[])
         assert plan.routing == ("xmark",)
         result = executor.execute(query)
@@ -386,22 +397,39 @@ class TestExecutorEquivalence:
 
 class TestDegradedMode:
     def test_persistent_publish_fault_degrades_to_interpreter(self):
-        database = build_varied_database(documents=6, name="col-fault")
-        legacy = QueryExecutor(database, use_columnar=False)
-        clean = legacy.execute("/site//*").result_count
-        # The legacy run published the summary and statistics snapshots;
-        # the columnar build is now the next ``snapshot.publish`` hit.
+        # Two deterministic clones: the reference run would otherwise
+        # publish the snapshots the faulted run must fail to publish.
+        clean = QueryExecutor(
+            build_varied_database(documents=6, name="col-fault-a"),
+            use_columnar=False).execute("/site//*").result_count
+        database = build_varied_database(documents=6, name="col-fault-b")
+        collection = database.collection("site")
         executor = QueryExecutor(database, use_columnar=True)
-        with inject(FaultPlan.fail_hit("snapshot.publish", hit=1)):
+        # Every publication fails: the columnar store (which the
+        # statistics are derived from, so planning fails too) and the
+        # merged statistics.
+        always = FaultPlan(rules=(FaultRule(site="snapshot.publish", every=1,
+                                            transient=False),))
+        with inject(always):
             degraded = executor.execute("/site//*")
         assert degraded.result_count == clean
+        assert any("optimizer unavailable" in event
+                   for event in executor.fallback_events)
         assert any("columnar store" in event
                    for event in executor.fallback_events)
         assert executor.interpretive_spine_fallbacks > 0
-        # The fault was not published into the cache: the next execution
-        # rebuilds the store and runs columnar again.
+        # Nothing failed into a cache: no store, no synopsis, no memo.
+        assert collection._columnar is None
+        assert collection._statistics is None
+        assert database._merged_statistics is None
+        assert executor._columnars == {}
+        # Once the fault clears, the next execution builds the store and
+        # runs columnar again.
+        fallbacks = executor.interpretive_spine_fallbacks
         after = executor.execute("/site//*")
         assert after.result_count == clean
+        assert collection._columnar is not None
+        assert executor.interpretive_spine_fallbacks == fallbacks
 
     def test_smoke_plan_is_invisible(self):
         # Two deterministic clones: the reference run would otherwise
@@ -412,9 +440,9 @@ class TestDegradedMode:
                     for text in SPINES[:6]]
         noisy = QueryExecutor(
             build_varied_database(documents=6, name="col-smoke-b"))
-        # Period 2 so the plan fires in both hatch modes: with the
-        # columnar engine off only the summary and merged-statistics
-        # publications consult the seam before the queries run.
+        # Period 2 so the plan fires in both hatch modes: before the
+        # queries run, only the columnar-store and merged-statistics
+        # publications consult the seam.
         with inject(FaultPlan.smoke(period=2)) as injector:
             got = [(noisy.execute(text).result_count) for text in SPINES[:6]]
         assert got == expected

@@ -186,8 +186,8 @@ class TestLiveTree:
         hatch_names = {hatch.name for hatch in context.hatches}
         assert hatch_names == {
             "use_incremental", "use_incremental_maintenance",
-            "use_collection_costing", "use_path_summary",
-            "use_collection_routing", "use_columnar",
+            "use_collection_costing", "use_collection_routing",
+            "use_columnar",
             "use_vectorized_predicates",
         }
         assert "repro.tuning" in context.deterministic_packages

@@ -1,7 +1,7 @@
 """Delta-propagation maintenance: equivalence and invalidation tests.
 
 The core contract of :mod:`repro.storage.maintenance` is *byte
-identity*: a collection whose derived state (path summary, statistics
+identity*: a collection whose derived state (columnar store, statistics
 synopsis, physical index entries) is maintained through per-document
 deltas must be indistinguishable from one that tears everything down
 and rebuilds on every change, for any interleaving of document adds and
@@ -47,6 +47,7 @@ from repro.workloads.xmark import (
     xmark_query_workload,
 )
 from repro.xmldb.parser import parse_document
+from repro.xpath.patterns import PathPattern
 from repro.xquery.model import ValueType, Workload
 from repro.xquery.normalizer import normalize_workload
 
@@ -68,13 +69,13 @@ def _clone_documents(database: XmlDatabase, twin_name: str,
 
 def _assert_equivalent(incremental: XmlCollection,
                        rebuilt: XmlCollection) -> None:
-    assert incremental.path_summary.canonical_state() \
-        == rebuilt.path_summary.canonical_state()
+    assert incremental.columnar_store.canonical_state() \
+        == rebuilt.columnar_store.canonical_state()
     assert incremental.statistics == rebuilt.statistics
 
 
 class TestDocumentDelta:
-    def test_groups_match_summary_build(self):
+    def test_groups_capture_every_node_once(self):
         document = parse_document(TINY_SITE_XML)
         document.doc_id = 0
         document.assign_node_ids()
@@ -83,12 +84,11 @@ class TestDocumentDelta:
         assert "/site/regions/africa/item" in delta.path_groups
         assert "/site/regions/africa/item/@id" in delta.path_groups
         # One pass captures every element and attribute exactly once.
-        assert delta.element_count == sum(
-            len(nodes) for path, nodes in delta.path_groups.items()
-            if "/@" not in path)
-        assert delta.attribute_count == sum(
-            len(nodes) for path, nodes in delta.path_groups.items()
-            if "/@" in path)
+        elements = list(document.descendant_elements())
+        assert sum(len(nodes) for path, nodes in delta.path_groups.items()
+                   if "/@" not in path) == len(elements)
+        assert sum(len(nodes) for path, nodes in delta.path_groups.items()
+                   if "/@" in path) == sum(len(e.attributes) for e in elements)
 
     def test_delta_log_since_and_trim(self):
         collection = XmlCollection("c")
@@ -116,32 +116,7 @@ class TestDocumentDelta:
         assert len(collection.deltas_since(collection.version - 1)) == 1
 
 
-class TestSummaryDelta:
-    def test_apply_delta_shares_untouched_paths(self):
-        collection = XmlCollection("c")
-        collection.add_document("<r><a>1</a></r>")
-        collection.add_document("<r><b>2</b></r>")
-        before = collection.path_summary
-        collection.add_document("<r><a>3</a></r>")  # touches /r and /r/a only
-        after = collection.path_summary
-        assert after is not before  # snapshot replaced, not mutated
-        assert after.doc_nodes_for_path("/r/b") is before.doc_nodes_for_path("/r/b")
-        assert after.doc_nodes_for_path("/r/a") is not before.doc_nodes_for_path("/r/a")
-        # The old snapshot still answers with its pre-change view.
-        assert len(before.nodes_for_path("/r/a")) == 1
-        assert len(after.nodes_for_path("/r/a")) == 2
-
-    def test_remove_drops_emptied_paths(self):
-        collection = XmlCollection("c")
-        collection.add_document("<r><only>x</only></r>")
-        collection.add_document("<r><a>1</a></r>")
-        assert collection.path_summary.has_path("/r/only")
-        collection.remove_document(0)
-        summary = collection.path_summary
-        assert not summary.has_path("/r/only")
-        # Keys above the removed document slid down.
-        assert list(summary.doc_nodes_for_path("/r/a")) == [0]
-
+class TestStatisticsDelta:
     def test_statistics_min_max_retraction(self):
         collection = XmlCollection("c")
         collection.add_document("<r><v>5</v></r>")
@@ -156,18 +131,29 @@ class TestSummaryDelta:
         stat = collection.statistics.path_stats["/r/v"]
         assert (stat.min_value, stat.max_value) == (40.0, 40.0)
 
-    def test_accumulator_from_summary_roundtrip(self):
-        collection = XmlCollection("c", use_incremental_maintenance=False)
-        collection.add_document(TINY_SITE_XML)
-        collection.add_document("<site><people><person id='p9'/></people></site>")
-        accumulator = StatisticsAccumulator.from_summary(collection.path_summary)
-        assert accumulator.snapshot() == collection.statistics
+
+@pytest.mark.parametrize("generate", [
+    lambda: generate_xmark_database(XMarkConfig(scale=1.0, seed=42)),
+    lambda: generate_tpox_database(TpoxConfig(scale=1.0, seed=42)),
+], ids=["xmark-1.0", "tpox-1.0"])
+def test_statistics_match_delta_folded_reference(generate):
+    """Statistics built from the columnar store equal an independent
+    reference: an empty accumulator folding each document's tree-walk
+    delta, byte for byte (``repr`` included)."""
+    for collection in generate().collections:
+        reference = StatisticsAccumulator()
+        for document in collection:
+            reference.add_document(compute_document_delta(document))
+        expected = reference.snapshot()
+        built = collection.statistics
+        assert built == expected, collection.name
+        assert repr(built) == repr(expected), collection.name
 
 
 @pytest.mark.parametrize("workload_kind", ["xmark", "tpox"])
 def test_randomized_interleaved_equivalence(workload_kind):
     """Interleaved add/remove sequences must keep the incrementally
-    maintained summary, statistics and index entries byte-identical to
+    maintained columnar store, statistics and index entries byte-identical to
     the full-rebuild escape hatch, checked after *every* operation."""
     if workload_kind == "xmark":
         base = generate_xmark_database(XMarkConfig(scale=0.02, seed=11), "maint")
@@ -504,10 +490,11 @@ class TestFineGrainedInvalidation:
 
         # Byte-neutral swaps: every doc keeps its quantities, prices
         # collapse to '05' (same width, new global //item/* minimum).
+        quantity_path = PathPattern.parse("/site/region/item/quantity")
         for _ in range(len(collection)):
             quantities = [node.typed_value() for node in
-                          collection.path_summary.nodes_for_path(
-                              "/site/region/item/quantity", 0)]
+                          collection.columnar_store.nodes_for_pattern(
+                              quantity_path, 0)]
             collection.remove_document(0)
             items = "".join(
                 f"<item><quantity>{q}</quantity><price>05</price></item>"
@@ -555,7 +542,7 @@ class TestOrderedExtraction:
         database = self._database()
         executor = QueryExecutor(database)
         # Multi-path pattern: regions/*/item/name spans several distinct
-        # paths, which the summary merges by node id.
+        # paths, which the columnar store merges in postings order.
         result = executor.execute("/site/regions/*/item/name", extract=True)
         assert result.extracted_count > 0
         nodes = result.extracted_nodes
@@ -572,11 +559,11 @@ class TestOrderedExtraction:
 
     def test_extraction_matches_interpretive_order(self):
         database = self._database()
-        summary_results = QueryExecutor(database).execute(
+        columnar_results = QueryExecutor(database).execute(
             "/site/regions/*/item/name", extract=True)
-        legacy_results = QueryExecutor(database, use_path_summary=False).execute(
+        legacy_results = QueryExecutor(database, use_columnar=False).execute(
             "/site/regions/*/item/name", extract=True)
-        assert [n.node_id for n in summary_results.extracted_nodes] \
+        assert [n.node_id for n in columnar_results.extracted_nodes] \
             == [n.node_id for n in legacy_results.extracted_nodes]
 
     def test_index_plan_extraction_ordered(self):
@@ -589,7 +576,7 @@ class TestOrderedExtraction:
                                   extract=True)
         assert result.used_index_plan
         assert result.extracted_count >= result.result_count
-        scan = QueryExecutor(database, use_path_summary=True)
+        scan = QueryExecutor(database)
         scan.drop_all_indexes()
         reference = scan.execute("/site/regions/*/item[quantity > 90]",
                                  extract=True)

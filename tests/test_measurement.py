@@ -116,20 +116,20 @@ def test_measure_workload_accepts_normalized_queries(tiny_database,
 
 
 def test_measure_scan_modes_equivalent_counts(tiny_database, site_workload):
-    """The interpretive and summary-backed scan engines must agree on
-    every per-query result count; neither touches an index."""
+    """The interpretive and columnar scan engines must agree on every
+    per-query result count; neither touches an index."""
     measurements = measure_scan_modes(tiny_database, site_workload)
-    assert set(measurements) == {"scan-interpretive", "scan-summary"}
+    assert set(measurements) == {"scan-interpretive", "scan-columnar"}
     interpretive = measurements["scan-interpretive"]
-    summary = measurements["scan-summary"]
-    assert interpretive.query_count == summary.query_count == 2
-    for interp_row, summary_row in zip(interpretive.per_query,
-                                       summary.per_query):
-        assert interp_row.result_count == summary_row.result_count
+    columnar = measurements["scan-columnar"]
+    assert interpretive.query_count == columnar.query_count == 2
+    for interp_row, columnar_row in zip(interpretive.per_query,
+                                        columnar.per_query):
+        assert interp_row.result_count == columnar_row.result_count
         assert not interp_row.used_index_plan
-        assert not summary_row.used_index_plan
+        assert not columnar_row.used_index_plan
     assert interpretive.index_entries_scanned == 0
-    assert summary.index_entries_scanned == 0
+    assert columnar.index_entries_scanned == 0
 
 
 def test_measurement_describe_mentions_the_label(tiny_database, site_workload):

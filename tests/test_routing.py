@@ -3,8 +3,8 @@
 Three contracts are covered:
 
 * **routing sets** -- which collections a query's patterns can match,
-  including exact loose-matched routing for summary-unsafe ``//``
-  shapes (PR 8), empty matches, and the ``use_collection_costing``
+  including exact descendant-or-self routing for ``//`` shapes whose
+  step may match its own context (PR 8), empty matches, and the ``use_collection_costing``
   escape hatch;
 * **reduction** -- on a single-collection database the collection-
   scoped model must be byte-identical to the legacy whole-database
@@ -269,17 +269,17 @@ class TestExecutorRouting:
         collection.add_document("<site><people/></site>")  # prunes dead refs
         assert len(collection._change_listeners) == listeners_before
 
-    def test_summary_cache_invalidated_by_version_listener(self):
-        database = build_varied_database(documents=8, name="route-sum")
-        executor = QueryExecutor(database)
+    def test_columnar_cache_invalidated_by_version_listener(self):
+        database = build_varied_database(documents=8, name="route-col")
+        executor = QueryExecutor(database, use_columnar=True)
         executor.execute("/site/people/person[name = 'Person 1 0']")
-        cached = executor._summaries.get("site")
+        cached = executor._columnars.get("site")
         assert cached is not None
-        assert executor._summary_for("site") is cached  # served from memo
+        assert executor._columnar_for("site") is cached  # served from memo
         database.collection("site").add_document("<site><people/></site>")
-        assert "site" not in executor._summaries  # listener evicted it
+        assert "site" not in executor._columnars  # listener evicted it
         executor.execute("/site/people/person[name = 'Person 1 0']")
-        assert executor._summaries["site"] is not cached
+        assert executor._columnars["site"] is not cached
 
 
 class TestRoutedInvalidation:

@@ -41,6 +41,11 @@ from repro.telemetry import (
     span,
     tracing_armed,
 )
+from repro.workloads.xmark import (
+    XMarkConfig,
+    generate_xmark_database,
+    xmark_query_workload,
+)
 from repro.xquery.model import ValueType, Workload
 from repro.xquery.normalizer import normalize_workload
 
@@ -423,6 +428,30 @@ class TestExecutorTracing:
             result.trace.find("plan").attrs["predicted_cost"]
         assert sample.documents_examined == result.documents_examined
         assert sample.measured_seconds > 0
+
+    def test_cost_accounting_records_the_plan_that_ran(self):
+        """A second executor on the same database plans against the
+        shared catalog but never materialized executor A's index: it
+        runs a scan, which must not be accounted as the index plan."""
+        database = generate_xmark_database(XMarkConfig(scale=0.1, seed=42))
+        statement = next(s.text for s in xmark_query_workload()
+                         if '$p/@id = "person3_1"' in s.text)
+        builder = QueryExecutor(database)
+        builder.create_indexes([ID_INDEX])
+        other = QueryExecutor(database)
+        result = other.execute(statement, trace=True)
+        assert result.trace.find("plan").attrs["plan_shape"] == "index-plan[1]"
+        assert not result.used_index_plan
+        assert [sample.plan_shape
+                for sample in other.cost_accounting.samples] == []
+        # The executor that built the index runs the chosen plan and
+        # accounts it under its own shape.
+        ran = builder.execute(statement, trace=True)
+        assert ran.used_index_plan
+        assert [sample.plan_shape
+                for sample in builder.cost_accounting.samples] == \
+            ["index-plan[1]"]
+        assert ran.result_count == result.result_count
 
     def test_queries_traced_counter(self, executor):
         executor.execute(SELECTIVE, trace=False)

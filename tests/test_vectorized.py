@@ -5,7 +5,7 @@ each path's value-sorted projection (`ColumnarStore.match_positions` /
 `matching_documents`) and serves extraction values straight from the
 values column.  Every test here pins the same property: the vectorized
 path, the legacy object-hop path (``use_vectorized_predicates=False``)
-and the purely interpretive path (``use_path_summary=False``) return
+and the purely interpretive path (``use_columnar=False``) return
 **byte-identical** matching documents, extracted node ids and extracted
 values -- across randomized mixed-type data (numeric-looking strings
 like ``"010"``, negatives, floats, empty values), every comparison
@@ -113,7 +113,7 @@ def _three_executors(database: XmlDatabase):
                           use_vectorized_predicates=True),
             QueryExecutor(database, use_columnar=True,
                           use_vectorized_predicates=False),
-            QueryExecutor(database, use_path_summary=False))
+            QueryExecutor(database, use_columnar=False))
 
 
 class TestEquivalence:

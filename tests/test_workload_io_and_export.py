@@ -131,6 +131,34 @@ class TestJsonExport:
 
 
 class TestCliIntegrationWithFiles:
+    def _assert_one_error_line(self, capsys, path, args, reason):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["recommend", "--scenario", "xmark-small",
+                  "--workload-file", str(path)] + args)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"error: --workload-file {path}: ")
+        assert reason in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_missing_workload_file_is_one_error_line(self, tmp_path, capsys):
+        self._assert_one_error_line(capsys, tmp_path / "absent.sql", [],
+                                    "No such file or directory")
+
+    def test_empty_workload_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.sql"
+        path.write_text("-- only a comment\n\n")
+        self._assert_one_error_line(capsys, path, [], "no statements")
+
+    def test_unparsable_workload_statement_is_one_error_line(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "bad.sql"
+        path.write_text("/site/people/person[@id = ;\n")
+        self._assert_one_error_line(capsys, path, [], "unexpected token")
+
     def test_recommend_with_workload_file_and_json_out(self, tmp_path, capsys):
         workload_path = tmp_path / "wl.sql"
         workload_path.write_text(
