@@ -62,6 +62,7 @@ from repro.workloads.xmark import (
     generate_xmark_database,
     xmark_query_workload,
 )
+from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 from repro.xpath.compiler import compile_xpath
 from repro.xpath.evaluator import XPathEvaluator
@@ -175,6 +176,22 @@ class TestEncoding:
                 assert got == sorted(got), text
                 assert sorted(got) == expected, (text, doc_id)
 
+    def test_self_matching_descendant_patterns_are_exact(self):
+        # ``//`` steps that may match their own context (``/a//a``,
+        # ``//site//*``) are served by the store with the same node sets
+        # as the interpreter, like any other spine.
+        document = parse_document(
+            "<a><a><b><a/></b></a><site><site><x/></site></site></a>")
+        store = build_columnar_store([document])
+        for text in ("/a//a", "//site//*", "/a//b//a", "//a/@id",
+                     "/a//site//x"):
+            expected = [node.node_id for node in
+                        _interpreter_nodes(document, text)]
+            got = [node.node_id for node in
+                   store.nodes_for_pattern(_pattern(text), 0, ordered=True)]
+            assert got == sorted(expected), text
+            assert store.has_match(_pattern(text)) == bool(expected), text
+
     def test_axis_primitives(self):
         database = build_varied_database(documents=2, name="col-prim")
         store = database.collection("site").columnar_store
@@ -191,6 +208,17 @@ class TestEncoding:
                         for p in store.child_element_positions(position)]
             assert children == [c.node_id for c in node.children
                                 if c.kind.name == "ELEMENT"]
+
+
+    def test_collection_statistics_derived_from_columnar(self, xmark_database):
+        for collection in xmark_database.collections:
+            stats = collection.statistics
+            store = collection.columnar_store
+            assert stats.document_count == store.document_count
+            # The statistics also count each document node; the store does not.
+            assert stats.total_node_count == \
+                store.node_count + store.document_count
+            assert set(stats.path_stats) == set(store.distinct_paths)
 
 
 class TestMaintenance:
@@ -286,7 +314,7 @@ class TestExecutorEquivalence:
         result = executor.execute("/site/people/person[name = 'Person 1 0']")
         assert result.result_count == 1
 
-    def test_index_builds_match_delta_folded_reference(self):
+    def test_index_builds_byte_identical(self):
         """Postings-walk builds equal an independent reference: an empty
         finalized index fed one add delta per document (the tree-walk
         delta capture and strict pattern matching, no columnar store)."""

@@ -44,13 +44,13 @@ class TestCompiler:
             assert compiled.pattern is not None, text
             assert not compiled.residual_predicates
 
-    def test_descendant_self_shapes_are_columnar_backed(self):
+    @pytest.mark.parametrize("text", ["/a//a", "//site//*"])
+    def test_descendant_self_shapes_are_columnar_backed(self, text):
         # ``//`` steps that may match their own context compile like any
         # other linear spine: the store matches them exactly.
-        for text in ("/a//a", "//site//*"):
-            compiled = compile_xpath(text)
-            assert compiled.pattern is not None, text
-            assert compiled.fallback_reason is None
+        compiled = compile_xpath(text)
+        assert compiled.pattern is not None, text
+        assert compiled.fallback_reason is None
 
     def test_final_step_predicates_become_residual(self):
         compiled = compile_xpath("/site/regions/africa/item[quantity > 5]")
@@ -181,6 +181,28 @@ class TestExecutorScanEngine:
                                           interpretive_results):
             assert columnar.result_count == interpretive.result_count
             assert columnar.documents_examined == interpretive.documents_examined
+
+    def test_index_build_matches_brute_force_entries(self):
+        from repro.index.physical import build_physical_index
+
+        database = build_varied_database(documents=15, name="idx-equiv")
+        definition = IndexDefinition.create("/site/regions/*/item/quantity",
+                                            ValueType.DOUBLE)
+        index = build_physical_index(definition, database)
+        # Reference: brute-force walk of every document.
+        expected = []
+        for collection in database.collections:
+            for document in collection:
+                for element in document.descendant_elements():
+                    if definition.pattern.matches(element.simple_path()):
+                        key = element.double_value()
+                        if key is not None:
+                            expected.append((key, collection.name,
+                                             document.doc_id, element.node_id))
+        got = [(e.key, e.collection, e.doc_id, e.node_id)
+               for e in index.entries]
+        assert got
+        assert sorted(got) == sorted(expected)
 
     def test_index_plan_sees_documents_added_after_construction(self):
         database = build_varied_database(documents=10, name="stale-lookup")

@@ -131,6 +131,14 @@ class TestStatisticsDelta:
         stat = collection.statistics.path_stats["/r/v"]
         assert (stat.min_value, stat.max_value) == (40.0, 40.0)
 
+    def test_accumulator_from_columnar_roundtrip(self):
+        collection = XmlCollection("c", use_incremental_maintenance=False)
+        collection.add_document(TINY_SITE_XML)
+        collection.add_document("<site><people><person id='p9'/></people></site>")
+        accumulator = StatisticsAccumulator.from_columnar(
+            collection.columnar_store)
+        assert accumulator.snapshot() == collection.statistics
+
 
 @pytest.mark.parametrize("generate", [
     lambda: generate_xmark_database(XMarkConfig(scale=1.0, seed=42)),
