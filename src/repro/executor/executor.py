@@ -15,9 +15,11 @@ Execution follows the optimizer's plan choice:
   :mod:`repro.xpath.compiler`) and, with ``use_columnar=False``, every
   path -- the one interpretive reference path.
 * **Index plans** probe the physical indexes chosen by the optimizer to
-  obtain candidate document ids, intersect them across predicates
-  (index ANDing), and then evaluate the full query only on the
-  candidates inside the routing set (residual filtering + extraction);
+  obtain per-collection candidate document ids, intersect them across
+  predicates (index ANDing), and then check, on the candidates inside
+  the routing set, only the predicates no probe answered exactly
+  (:func:`~repro.index.matching.answers_exactly`; residual filtering +
+  extraction).  A plan whose predicates are all exact checks nothing;
   entries a general index returns from unrouted collections are skipped
   without residual evaluation.
 
@@ -47,7 +49,7 @@ predicate becomes one call to
 two bisects over the path's value-sorted posting permutation -- and the
 per-predicate document sets are intersected, so a scan costs
 O(matching postings) instead of O(documents x predicate nodes).
-Index-plan residual checks ride the same sets, and
+Index-plan residual checks intersect the same sets, and
 ``execute(extract_values=True)`` serves the extraction paths'
 *normalized values* straight from the values column
 (``ExecutionResult.extracted_values``) without materializing nodes.
@@ -74,6 +76,7 @@ from typing import (
 from repro.contracts import cache_contract, escape_hatch
 from repro.faults import FaultError, guarded_fault_point
 from repro.index.definition import IndexConfiguration, IndexDefinition
+from repro.index.matching import answers_exactly
 from repro.index.physical import PhysicalPathIndex, build_physical_index
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.plans import IndexScan, QueryPlan
@@ -290,6 +293,8 @@ class QueryExecutor:
             "executor.scan.interpretive_spine_fallbacks")
         self._m_scan_node_materializations = self.metrics.counter(
             "executor.scan.node_materializations")
+        self._m_residual_predicates = self.metrics.counter(
+            "executor.residual.predicates")
         self._m_queries_executed = self.metrics.counter(
             "executor.queries.executed")
         self._m_queries_traced = self.metrics.counter(
@@ -897,87 +902,89 @@ class QueryExecutor:
                             extract: bool = False,
                             extract_values: bool = False,
                             trace: Optional[Span] = None) -> ExecutionResult:
-        candidate_docs: Optional[Set[Tuple[str, int]]] = None
+        candidates: Optional[Dict[str, Set[int]]] = None
         entries_scanned = 0
         used_names: List[str] = []
+        exact: List[PathPredicate] = []
         with span(trace, "index-probe") as probe_span:
             for operator in self._index_scans(plan):
                 index = self._indexes[operator.index.key]
                 used_names.append(operator.index.name)
+                predicate = operator.predicate
                 try:
-                    entries = self._probe(index, operator.predicate)
+                    documents, scanned = index.probe(predicate.op,
+                                                     predicate.value)
                 except Exception as exc:  # noqa: BLE001 -- attributed, contained by execute()
                     raise _IndexProbeError(operator.index.name, exc) from exc
-                entries_scanned += len(entries)
-                docs = {(entry.collection, entry.doc_id) for entry in entries}
-                candidate_docs = docs if candidate_docs is None else candidate_docs & docs
-                if not candidate_docs:
+                entries_scanned += scanned
+                if answers_exactly(operator.index, predicate):
+                    exact.append(predicate)
+                candidates = (documents if candidates is None
+                              else _intersect(candidates, documents))
+                if not candidates:
                     break
-            candidate_docs = candidate_docs or set()
+            candidates = candidates or {}
             if probe_span is not None:
-                probe_span.annotate(indexes=list(used_names),
-                                    entries_scanned=entries_scanned,
-                                    candidate_documents=len(candidate_docs))
+                probe_span.annotate(
+                    indexes=list(used_names),
+                    entries_scanned=entries_scanned,
+                    candidate_documents=sum(map(len, candidates.values())))
         routed_out = 0
         if self.use_collection_routing and plan.routing is not None:
             # The index may be more general than the query's patterns
             # and return entries from collections the query cannot
             # match; routing skips their residual checks entirely.
             routed = frozenset(plan.routing)
-            before = len(candidate_docs)
-            candidate_docs = {key for key in candidate_docs
-                              if key[0] in routed}
-            routed_out = before - len(candidate_docs)
+            routed_out = sum(len(docs) for name, docs in candidates.items()
+                             if name not in routed)
+            candidates = {name: docs for name, docs in candidates.items()
+                          if name in routed}
             self._m_documents_routed_out.inc(routed_out)
         if trace is not None:
             trace.child("route",
                         routing=(sorted(plan.routing)
                                  if plan.routing is not None else None),
                         documents_routed_out=routed_out)
-        matching = 0
+        # Residual checks: only the predicates no probe answered exactly
+        # (the plan's residual predicates plus the probes of containing
+        # indexes), and only over the candidate documents.  A plan whose
+        # predicates are all exact checks nothing.
+        residual = [predicate for predicate in query.predicates
+                    if predicate not in exact]
         examined = 0
-        extracted: Optional[List[XmlNode]] = [] if extract else None
-        values: Optional[List[str]] = [] if extract_values else None
-        # Candidate sets are unordered; extraction iterates them in
-        # (collection insertion order, doc id) order -- the same order
-        # the scan path visits documents -- so plan choice never changes
-        # the extraction stream.  The rank map is memoized behind the
-        # per-collection version listeners (`_refresh_document_lookup`).
-        if extract or extract_values:
-            rank = self._collection_rank
-            ordered_docs: Iterable[Tuple[str, int]] = sorted(
-                candidate_docs,
-                key=lambda key: (rank.get(key[0], len(rank)), key[1]))
-        else:
-            ordered_docs = candidate_docs
-        # Residual checks on the vectorized path: the full matching-key
-        # set is computed once per collection (the same intersected
-        # bisect sets the scan path uses) and each candidate becomes a
-        # set-membership probe instead of a per-document node walk.
-        vectorized_keys: Dict[str, Set[int]] = {}
+        matched: List[Tuple[str, int]] = []
         residual_span: Optional[Span] = None
         residual_start = 0.0
         if trace is not None:
             residual_span = trace.child(
-                "residual", vectorized=self.use_vectorized_predicates)
+                "residual", vectorized=self.use_vectorized_predicates,
+                residual_predicates=len(residual))
             residual_start = wall_clock()
-        for key in ordered_docs:
-            document = self._doc_lookup.get(key)
-            if document is None:
-                continue
-            columnar = self._columnar_for(key[0])
-            examined += 1
-            if columnar is not None and self.use_vectorized_predicates:
-                matched_keys = vectorized_keys.get(key[0])
-                if matched_keys is None:
-                    matched_keys = self._vectorized_document_keys(
-                        columnar, query)
-                    vectorized_keys[key[0]] = matched_keys
-                matched = key[1] in matched_keys
-            else:
-                matched = self._document_matches(document, query, columnar)
-            if matched:
-                matching += 1
+        for name, docs in candidates.items():
+            docs = {doc for doc in docs if (name, doc) in self._doc_lookup}
+            examined += len(docs)
+            if residual and docs:
+                self._m_residual_predicates.inc(len(residual))
+                docs = self._residual_matches(name, docs, query, residual)
+            matched.extend((name, doc) for doc in docs)
+        if residual_span is not None:
+            residual_span.elapsed_seconds = wall_clock() - residual_start
+            residual_span.annotate(documents_examined=examined,
+                                   matching_documents=len(matched))
+        extracted: Optional[List[XmlNode]] = [] if extract else None
+        values: Optional[List[str]] = [] if extract_values else None
+        if extract or extract_values:
+            # Candidate sets are unordered; extraction iterates them in
+            # (collection insertion order, doc id) order -- the same
+            # order the scan path visits documents -- so plan choice
+            # never changes the extraction stream.  The rank map is
+            # memoized behind the per-collection version listeners
+            # (`_refresh_document_lookup`).
+            rank = self._collection_rank
+            matched.sort(key=lambda key: (rank.get(key[0], len(rank)), key[1]))
+            for key in matched:
+                document = self._doc_lookup[key]
+                columnar = self._columnar_for(key[0])
                 if extracted is not None:
                     extracted.extend(self._extract_nodes(
                         document, query, columnar))
@@ -989,21 +996,40 @@ class QueryExecutor:
                     else:
                         values.extend(self._extract_values(
                             document, query, columnar))
-        if residual_span is not None:
-            residual_span.elapsed_seconds = wall_clock() - residual_start
-            residual_span.annotate(documents_examined=examined,
-                                   matching_documents=matching)
-        if trace is not None and (extract or extract_values):
-            trace.child(
-                "extract",
-                extracted_nodes=len(extracted) if extracted is not None else 0,
-                extracted_values=len(values) if values is not None else 0)
-        return ExecutionResult(query_id=query.query_id, result_count=matching,
+            if trace is not None:
+                trace.child(
+                    "extract",
+                    extracted_nodes=len(extracted) if extracted is not None else 0,
+                    extracted_values=len(values) if values is not None else 0)
+        return ExecutionResult(query_id=query.query_id, result_count=len(matched),
                                documents_examined=examined,
                                index_entries_scanned=entries_scanned,
                                used_indexes=used_names, used_index_plan=True,
                                extracted_nodes=extracted,
                                extracted_values=values)
+
+    def _residual_matches(self, collection: str, docs: Set[int],
+                          query: NormalizedQuery,
+                          residual: Sequence[PathPredicate]) -> Set[int]:
+        """The candidate ``docs`` of one collection satisfying every
+        ``residual`` predicate: on the vectorized path one intersected
+        set-at-a-time document set per value predicate and a postings
+        probe per candidate for an existence test, otherwise a
+        per-document check of those predicates alone."""
+        columnar = self._columnar_for(collection)
+        if columnar is not None and self.use_vectorized_predicates:
+            for predicate in residual:
+                if predicate.op is None or predicate.value is None:
+                    docs = {doc for doc in docs
+                            if columnar.has_match(predicate.pattern, doc)}
+                else:
+                    docs = docs & columnar.matching_documents(
+                        predicate.pattern, predicate.op, predicate.value)
+                if not docs:
+                    break
+            return docs
+        return {doc for doc in docs if self._document_matches(
+            self._doc_lookup[(collection, doc)], query, columnar, residual)}
 
     def _index_scans(self, plan: QueryPlan) -> List[IndexScan]:
         scans: List[IndexScan] = []
@@ -1015,25 +1041,16 @@ class QueryExecutor:
             stack.extend(operator.children())
         return scans
 
-    def _probe(self, index: PhysicalPathIndex, predicate: PathPredicate):
-        if predicate is None or predicate.op is None or predicate.value is None:
-            entries = index.scan()
-        elif predicate.op is BinaryOp.EQ:
-            entries = index.lookup_equal(predicate.value)
-        else:
-            entries = index.lookup_range(predicate.op, predicate.value)
-        # The index may be more general than the predicate: post-filter on
-        # the node's path by re-checking the predicate pattern against the
-        # entry's document when patterns differ.  Entries do not carry the
-        # path, so the residual document check below handles it; here we
-        # only prune by key.
-        return entries
-
     # ------------------------------------------------------------------
     # Residual evaluation
     # ------------------------------------------------------------------
     def _document_matches(self, document: DocumentNode, query: NormalizedQuery,
-                          columnar: Optional[ColumnarStore] = None) -> bool:
+                          columnar: Optional[ColumnarStore] = None,
+                          predicates: Optional[Sequence[PathPredicate]] = None
+                          ) -> bool:
+        """Does ``document`` satisfy ``predicates`` (default: all of the
+        query's)?  A query without predicates matches where an
+        extraction path selects a node."""
         evaluator: Optional[XPathEvaluator] = None
 
         def nodes_for(pattern: PathPattern) -> List[XmlNode]:
@@ -1049,7 +1066,7 @@ class QueryExecutor:
             self._m_scan_node_materializations.inc()
             return compiled.select_nodes(columnar, document, evaluator)
 
-        for predicate in query.predicates:
+        for predicate in query.predicates if predicates is None else predicates:
             if not self._predicate_holds(nodes_for(predicate.pattern), predicate):
                 return False
         if not query.predicates:
@@ -1159,6 +1176,17 @@ class QueryExecutor:
                 return None
             self._columnars[collection_name] = columnar
         return columnar
+
+
+def _intersect(left: Dict[str, Set[int]],
+               right: Dict[str, Set[int]]) -> Dict[str, Set[int]]:
+    """Per-collection intersection of two probes' document sets."""
+    both: Dict[str, Set[int]] = {}
+    for name, docs in left.items():
+        common = docs & right.get(name, set())
+        if common:
+            both[name] = common
+    return both
 
 
 def _compare_node(node, predicate: PathPredicate) -> bool:

@@ -10,7 +10,9 @@ pattern indexes:
    query path can reach, i.e. ``L(query path) ⊆ L(index pattern)``.
    (If the index only covered some of the nodes, using it could miss
    results.)  Containment is decided exactly by
-   :func:`repro.xpath.patterns.pattern_contains`.
+   :func:`repro.xpath.patterns.pattern_contains` under the strict
+   index-pattern semantics, so a predicate path with a self-matching
+   ``//`` step (``/a//a`` also reaches ``/a`` itself) matches no index.
 
 2. *Type compatibility* -- a DOUBLE index can only answer numeric
    comparisons; a VARCHAR index can only answer string comparisons and
@@ -18,9 +20,15 @@ pattern indexes:
    string equality and vice versa, because the index simply does not
    contain the needed keys.)
 
-3. Existence-only predicates can be answered by an index of either type
-   on a containing pattern (the index enumerates the nodes with that
-   path regardless of key type).
+3. Existence-only predicates can be answered only by a VARCHAR index on
+   a containing pattern: it holds an entry for every node with that
+   path, while a DOUBLE index skips the nodes whose value does not
+   cast, so it can miss documents.
+
+A matching index may still return candidates the predicate rejects (a
+containing pattern indexes more paths).  :func:`answers_exactly` names
+the probes that return exactly the documents satisfying the predicate,
+which the executor then skips in its residual check.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.index.definition import IndexDefinition
+from repro.xpath.ast import BinaryOp
 from repro.xpath.patterns import pattern_contains
 from repro.xquery.model import PathPredicate, ValueType
 
@@ -51,10 +60,36 @@ class IndexMatch:
 
 def _type_compatible(index: IndexDefinition, predicate: PathPredicate) -> bool:
     if predicate.is_existence:
-        return True
+        return index.value_type is ValueType.VARCHAR
     if predicate.value_type is ValueType.DOUBLE:
         return index.value_type is ValueType.DOUBLE
     return index.value_type is ValueType.VARCHAR
+
+
+#: The comparisons a probe answers with one key range per partition.
+_EXACT_OPS = frozenset({BinaryOp.EQ, BinaryOp.LT, BinaryOp.LE,
+                        BinaryOp.GT, BinaryOp.GE})
+
+
+def answers_exactly(index: IndexDefinition, predicate: PathPredicate) -> bool:
+    """Does probing ``index`` return exactly the documents satisfying
+    ``predicate``, so no residual check of it is needed?
+
+    True when the index pattern equals the predicate pattern and has no
+    self-matching ``//`` step (so the strict pattern that built the index
+    and the evaluator semantics the predicate uses accept the same
+    paths), the key type agrees with the literal's type, and the
+    operator is ``=``, ``<``, ``<=``, ``>`` or ``>=``.
+    """
+    if predicate.op not in _EXACT_OPS:
+        return False
+    if index.pattern != predicate.pattern \
+            or index.pattern.has_self_matching_descendant:
+        return False
+    if isinstance(predicate.value, float):
+        return index.value_type is ValueType.DOUBLE
+    return (isinstance(predicate.value, str)
+            and index.value_type is ValueType.VARCHAR)
 
 
 def index_matches_predicate(index: IndexDefinition,
@@ -65,6 +100,8 @@ def index_matches_predicate(index: IndexDefinition,
     contain the predicate path, or the value types are incompatible).
     """
     if not _type_compatible(index, predicate):
+        return None
+    if predicate.pattern.has_self_matching_descendant:
         return None
     if not pattern_contains(index.pattern, predicate.pattern):
         return None

@@ -385,8 +385,8 @@ def collect_statistics(documents: Iterable[DocumentNode]) -> DatabaseStatistics:
 
     Element paths record the element's own text value (concatenated
     descendant text is *not* used: only direct text children count as the
-    element's indexable value, matching how leaf-value indexes behave);
-    attribute paths record the attribute value.
+    element's recorded value, which equals the index key for leaf
+    elements); attribute paths record the attribute value.
 
     The documents are encoded in one columnar pass and the synopsis is
     derived from the columns (see

@@ -382,8 +382,8 @@ class ProcessingInstructionNode(XmlNode):
 def normalized_node_value(node: XmlNode) -> str:
     """The whitespace-normalized *direct* value of a node: an attribute's
     value, or an element's direct text children (descendant text is not
-    concatenated -- only direct text counts as the element's indexable
-    value).
+    concatenated; predicates and physical index keys compare
+    :meth:`XmlNode.typed_value`, which does concatenate it).
 
     This is the single definition of "a node's recorded value" shared by
     the columnar store's values column and the statistics synopsis, so

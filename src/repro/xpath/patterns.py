@@ -169,6 +169,19 @@ class PathPattern:
         return any(step.descendant for step in self.steps)
 
     @property
+    def has_self_matching_descendant(self) -> bool:
+        """True when some ``//`` element step can match the label its
+        preceding element step matched (``/a//a``, ``//site//*``): the
+        only shape where :meth:`matches` and :meth:`matches_evaluator`
+        can accept different paths."""
+        for before, step in zip(self.steps, self.steps[1:]):
+            if not step.descendant or step.is_attribute or before.is_attribute:
+                continue
+            if "*" in (before.label, step.label) or before.label == step.label:
+                return True
+        return False
+
+    @property
     def wildcard_count(self) -> int:
         return sum(1 for step in self.steps if step.is_wildcard)
 

@@ -127,11 +127,14 @@ class TestIndexMatching:
         assert index_matches_predicate(varchar_index, textual) is not None
         assert index_matches_predicate(double_index, textual) is None
 
-    def test_existence_predicate_matches_either_type(self):
+    def test_existence_predicate_matches_only_varchar(self):
+        # A DOUBLE index skips nodes whose value does not cast, so it
+        # cannot enumerate every node an existence test needs.
         existence = _predicate("/a/b")
-        for value_type in ValueType:
-            index = IndexDefinition.create("/a/b", value_type)
-            assert index_matches_predicate(index, existence) is not None
+        varchar_index = IndexDefinition.create("/a/b", ValueType.VARCHAR)
+        double_index = IndexDefinition.create("/a/b", ValueType.DOUBLE)
+        assert index_matches_predicate(varchar_index, existence) is not None
+        assert index_matches_predicate(double_index, existence) is None
 
     def test_universal_index_matches_everything_elementwise(self):
         universal = IndexDefinition.create("//*", ValueType.VARCHAR)
